@@ -6,9 +6,7 @@
 
 #include "core/matrix.hpp"
 #include "host/sat_cpu.hpp"
-#include "host/sat_parallel.hpp"
 #include "host/sat_skss_lb.hpp"
-#include "host/sat_wavefront.hpp"
 #include "host/thread_pool.hpp"
 #include "sat/registry.hpp"
 
@@ -37,55 +35,6 @@ void BM_HostSatTwoPass(benchmark::State& state) {
   state.SetBytesProcessed(int64_t(state.iterations()) * n * n * 2 * 4);
 }
 BENCHMARK(BM_HostSatTwoPass)->Arg(1024)->Arg(4096);
-
-void BM_HostSatBlocked(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto tile = static_cast<std::size_t>(state.range(1));
-  const auto a = sat::Matrix<float>::random(n, n, 1, 0.0f, 1.0f);
-  sat::Matrix<float> b(n, n);
-  for (auto _ : state) {
-    sathost::sat_blocked<float>(a.view(), b.view(), tile);
-    benchmark::DoNotOptimize(b.data());
-  }
-  state.SetBytesProcessed(int64_t(state.iterations()) * n * n * 2 * 4);
-}
-BENCHMARK(BM_HostSatBlocked)
-    ->Args({1024, 32})
-    ->Args({1024, 64})
-    ->Args({1024, 256})
-    ->Args({4096, 64});
-
-void BM_HostSatParallel(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto workers = static_cast<std::size_t>(state.range(1));
-  const auto a = sat::Matrix<float>::random(n, n, 1, 0.0f, 1.0f);
-  sat::Matrix<float> b(n, n);
-  sathost::ThreadPool pool(workers);
-  for (auto _ : state) {
-    sathost::sat_parallel<float>(pool, a.view(), b.view());
-    benchmark::DoNotOptimize(b.data());
-  }
-  state.SetBytesProcessed(int64_t(state.iterations()) * n * n * 2 * 4);
-}
-BENCHMARK(BM_HostSatParallel)->Args({1024, 1})->Args({1024, 2})->Args({1024, 4});
-
-void BM_HostSatWavefront(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto workers = static_cast<std::size_t>(state.range(1));
-  const auto a = sat::Matrix<float>::random(n, n, 1, 0.0f, 1.0f);
-  sat::Matrix<float> b(n, n);
-  sathost::ThreadPool pool(workers);
-  for (auto _ : state) {
-    sathost::sat_wavefront<float>(pool, a.view(), b.view(), 128);
-    benchmark::DoNotOptimize(b.data());
-  }
-  state.SetBytesProcessed(int64_t(state.iterations()) * n * n * 2 * 4);
-}
-BENCHMARK(BM_HostSatWavefront)
-    ->Args({1024, 1})
-    ->Args({1024, 2})
-    ->Args({1024, 4})
-    ->Args({4096, 4});
 
 // The paper's single-pass look-back algorithm on host threads:
 // range = {n, tile width W, workers}.

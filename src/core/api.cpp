@@ -4,11 +4,9 @@
 #include <sstream>
 
 #include "host/sat_cpu.hpp"
-#include "host/sat_parallel.hpp"
 #include "host/sat_residual.hpp"
 #include "host/sat_simd.hpp"
 #include "host/sat_skss_lb.hpp"
-#include "host/sat_wavefront.hpp"
 #include "host/thread_pool.hpp"
 #include "sat/algo_batch.hpp"
 #include "scan/row_scan.hpp"
@@ -113,122 +111,112 @@ inline std::size_t residual_tile_w(const Options& opts) {
   return opts.cpu_tile_w != 0 ? opts.cpu_tile_w : kDefaultResidualTileW;
 }
 
-/// The engine dispatch shared by the Matrix and Span2d entry points.
+/// The SKSS-LB options of a CPU call: its observability plus a tile width
+/// (cpu_tile_w for the dense engine, the stores' W for the residual one).
+sathost::SkssLbOptions skss_lb_options(const Options& opts,
+                                       std::size_t tile_w) {
+  sathost::SkssLbOptions lb;
+  lb.tile_w = tile_w;
+  lb.metrics = opts.metrics;
+  lb.trace = opts.trace;
+  return lb;
+}
+
+/// The one CPU dispatch behind compute_sat, compute_sat_batch,
+/// compute_sat_batch_into and compute_sat_tiled; a single image is a batch
+/// of one. Image k's table goes to dense[k], or stays compressed in
+/// tiled[k] when the caller (compute_sat_tiled) passes no dense outputs.
+/// This is the only place that picks the code producing an output:
+///   kDense          per cpu_engine: sat_sequential or sat_simd per image,
+///                   or one sat_skss_lb_batch pass;
+///   kTiledResidual  one sat_skss_lb_residual_batch pass, decoded into
+///                   dense[k] for the dense-result entry points;
+///   kKahanF32       sat_kahan per image (floating-point T only).
+/// Returns the Stats::algorithm label, "cpu-<producer>" plus "-batch" for
+/// the batch entry points.
 template <class T>
-std::string run_cpu_engine(satutil::Span2d<const T> src, satutil::Span2d<T> dst,
-                           const Options& opts) {
-  if (opts.storage == Storage::kKahanF32) {
-    if constexpr (std::is_floating_point_v<T>) {
+std::string run_cpu_batch(const std::vector<satutil::Span2d<const T>>& inputs,
+                          const std::vector<satutil::Span2d<T>>& dense,
+                          const std::vector<TiledSat<T>*>& tiled,
+                          const Options& opts, bool batch_entry) {
+  SAT_CHECK_MSG(!inputs.empty(), "empty batch");
+  SAT_CHECK_MSG(
+      inputs.size() == (tiled.empty() ? dense.size() : tiled.size()),
+      "inputs/outputs batch size mismatch");
+  const std::size_t rows = inputs[0].rows();
+  const std::size_t cols = inputs[0].cols();
+  for (std::size_t k = 0; k < inputs.size(); ++k) {
+    SAT_CHECK_MSG(inputs[k].rows() == rows && inputs[k].cols() == cols,
+                  "batched images must share one shape: image "
+                      << k << " is " << inputs[k].rows() << "x"
+                      << inputs[k].cols() << ", image 0 is " << rows << "x"
+                      << cols);
+    SAT_CHECK_MSG(!tiled.empty() || (dense[k].rows() == rows &&
+                                     dense[k].cols() == cols),
+                  "output " << k << " shape mismatch");
+  }
+
+  std::string label;
+  switch (tiled.empty() ? opts.storage : Storage::kTiledResidual) {
+    case Storage::kKahanF32:
+      if constexpr (std::is_floating_point_v<T>) {
+        for (std::size_t k = 0; k < inputs.size(); ++k)
+          sathost::sat_kahan<T>(inputs[k], dense[k], /*tile=*/4096,
+                                opts.metrics);
+        label = "cpu-simd-kahan";
+      } else {
+        SAT_CHECK_MSG(false,
+                      "Storage::kKahanF32 requires a floating-point element "
+                      "type");
+      }
+      break;
+    case Storage::kTiledResidual: {
+      // Dense-result callers get scratch stores decoded into their buffers
+      // (the engine's output traffic is still the narrow residual planes).
+      std::vector<TiledSat<T>> scratch;
+      std::vector<TiledSat<T>*> scratch_ptrs;
+      if (tiled.empty()) {
+        scratch.reserve(inputs.size());
+        for (std::size_t k = 0; k < inputs.size(); ++k) {
+          scratch.emplace_back(rows, cols, residual_tile_w(opts));
+          scratch_ptrs.push_back(&scratch.back());
+        }
+      }
+      const std::vector<TiledSat<T>*>& outs =
+          tiled.empty() ? scratch_ptrs : tiled;
+      PoolRef pool(opts);
+      sathost::sat_skss_lb_residual_batch<T>(
+          pool.get(), inputs, outs, skss_lb_options(opts, outs[0]->tile_w()));
+      for (std::size_t k = 0; k < scratch.size(); ++k)
+        scratch[k].decode_into(dense[k]);
+      label = "cpu-skss-lb-resid";
+      break;
+    }
+    case Storage::kDense:
       switch (opts.cpu_engine) {
         case CpuEngine::kSequential:
-          sathost::sat_sequential_kahan<T>(src, dst);
-          return "cpu-sequential-kahan";
+          for (std::size_t k = 0; k < inputs.size(); ++k)
+            sathost::sat_sequential<T>(inputs[k], dense[k]);
+          label = "cpu-sequential";
+          break;
         case CpuEngine::kSimd:
-          sathost::sat_kahan<T>(src, dst, /*tile=*/4096, opts.metrics);
-          return "cpu-simd-kahan";
+          for (std::size_t k = 0; k < inputs.size(); ++k)
+            sathost::sat_simd<T>(inputs[k], dense[k], /*tile=*/4096,
+                                 opts.metrics);
+          label = "cpu-simd";
+          break;
         case CpuEngine::kSkssLb: {
           PoolRef pool(opts);
-          sathost::SkssLbOptions lb;
-          lb.tile_w = opts.cpu_tile_w;
-          lb.metrics = opts.metrics;
-          lb.trace = opts.trace;
-          lb.kahan = true;
-          sathost::sat_skss_lb<T>(pool.get(), src, dst, lb);
-          return "cpu-skss-lb-kahan";
+          sathost::sat_skss_lb_batch<T>(pool.get(), inputs, dense,
+                                        skss_lb_options(opts, opts.cpu_tile_w));
+          label = "cpu-skss-lb";
+          break;
         }
-        default:
-          SAT_CHECK_MSG(false,
-                        "Storage::kKahanF32 supports the sequential, simd, "
-                        "and skss_lb engines");
       }
-    } else {
-      SAT_CHECK_MSG(false,
-                    "Storage::kKahanF32 requires a floating-point element "
-                    "type");
-    }
+      break;
   }
-  if (opts.storage == Storage::kTiledResidual) {
-    // Compatibility path for the dense-result entry points: encode, then
-    // decode into the caller's buffer. Callers that want the compressed
-    // form (and its bandwidth win) use compute_sat_tiled instead.
-    TiledSat<T> tiled(src.rows(), src.cols(), residual_tile_w(opts));
-    if (opts.cpu_engine == CpuEngine::kSkssLb) {
-      PoolRef pool(opts);
-      sathost::SkssLbOptions lb;
-      lb.tile_w = tiled.tile_w();
-      lb.metrics = opts.metrics;
-      lb.trace = opts.trace;
-      sathost::sat_skss_lb_residual<T>(pool.get(), src, tiled, lb);
-      tiled.decode_into(dst);
-      return "cpu-skss-lb-resid";
-    }
-    sathost::sat_residual<T>(src, tiled, opts.metrics);
-    tiled.decode_into(dst);
-    return "cpu-resid";
-  }
-  switch (opts.cpu_engine) {
-    case CpuEngine::kSequential:
-      sathost::sat_sequential<T>(src, dst);
-      return "cpu-sequential";
-    case CpuEngine::kSimd:
-      sathost::sat_simd<T>(src, dst, /*tile=*/4096, opts.metrics);
-      return "cpu-simd";
-    case CpuEngine::kParallel: {
-      PoolRef pool(opts);
-      sathost::sat_parallel<T>(pool.get(), src, dst);
-      return "cpu-parallel";
-    }
-    case CpuEngine::kWavefront: {
-      PoolRef pool(opts);
-      sathost::sat_wavefront<T>(pool.get(), src, dst,
-                                opts.cpu_tile_w != 0 ? opts.cpu_tile_w : 128);
-      return "cpu-wavefront";
-    }
-    case CpuEngine::kSkssLb: {
-      PoolRef pool(opts);
-      sathost::SkssLbOptions lb;
-      lb.tile_w = opts.cpu_tile_w;
-      lb.metrics = opts.metrics;
-      lb.trace = opts.trace;
-      sathost::sat_skss_lb<T>(pool.get(), src, dst, lb);
-      return "cpu-skss-lb";
-    }
-  }
-  SAT_CHECK_MSG(false, "unknown cpu engine");
-  return {};
-}
-
-template <class T>
-Result<T> compute_on_cpu(const Matrix<T>& input, const Options& opts) {
-  Result<T> result;
-  result.table = Matrix<T>(input.rows(), input.cols());
-  result.stats.algorithm =
-      run_cpu_engine<T>(input.view(), result.table.view(), opts);
-  return result;
-}
-
-// Batched host computation. The paper's engine gets the real pipeline —
-// every image shares ONE claim-range scheduler, so workers flow across
-// image boundaries without a barrier (see sathost::sat_skss_lb_batch).
-// The other engines have no cross-image protocol; they run image-at-a-time
-// on one pool, which still amortizes thread start-up across the batch.
-template <class T>
-BatchResult<T> compute_batch_on_cpu(const std::vector<Matrix<T>>& inputs,
-                                    const Options& opts) {
-  BatchResult<T> result;
-  result.tables.reserve(inputs.size());
-  for (const auto& m : inputs) result.tables.emplace_back(m.rows(), m.cols());
-
-  std::vector<satutil::Span2d<const T>> srcs;
-  std::vector<satutil::Span2d<T>> dsts;
-  srcs.reserve(inputs.size());
-  dsts.reserve(inputs.size());
-  for (std::size_t k = 0; k < inputs.size(); ++k) {
-    srcs.push_back(inputs[k].view());
-    dsts.push_back(result.tables[k].view());
-  }
-  result.stats = compute_sat_batch_into<T>(srcs, dsts, opts);
-  return result;
+  SAT_CHECK_MSG(!label.empty(), "unknown cpu engine");
+  return batch_entry ? label + "-batch" : label;
 }
 
 }  // namespace
@@ -240,70 +228,9 @@ Stats compute_sat_batch_into(
   SAT_CHECK_MSG(opts.backend == Backend::kCpu,
                 "compute_sat_batch_into is CPU-only (the simulated device "
                 "owns its buffers)");
-  SAT_CHECK_MSG(!inputs.empty(), "empty batch");
-  SAT_CHECK_MSG(inputs.size() == outputs.size(),
-                "inputs/outputs batch size mismatch");
-  for (std::size_t k = 0; k < inputs.size(); ++k) {
-    SAT_CHECK_MSG(outputs[k].rows() == inputs[k].rows() &&
-                      outputs[k].cols() == inputs[k].cols(),
-                  "output " << k << " shape mismatch");
-  }
   Stats stats;
-  if (opts.cpu_engine == CpuEngine::kSkssLb &&
-      opts.storage == Storage::kTiledResidual) {
-    // One batched claim-range residual pass, decoded into the caller's
-    // dense buffers (the wire/result format stays dense; the engine's
-    // output traffic is the narrow residual planes).
-    const std::size_t w = residual_tile_w(opts);
-    std::vector<TiledSat<T>> tiled;
-    std::vector<TiledSat<T>*> ptrs;
-    tiled.reserve(inputs.size());
-    ptrs.reserve(inputs.size());
-    for (const auto& in : inputs) tiled.emplace_back(in.rows(), in.cols(), w);
-    for (auto& t : tiled) ptrs.push_back(&t);
-    PoolRef pool(opts);
-    sathost::SkssLbOptions lb;
-    lb.tile_w = w;
-    lb.metrics = opts.metrics;
-    lb.trace = opts.trace;
-    sathost::sat_skss_lb_residual_batch<T>(pool.get(), inputs, ptrs, lb);
-    for (std::size_t k = 0; k < tiled.size(); ++k)
-      tiled[k].decode_into(outputs[k]);
-    stats.algorithm = "cpu-skss-lb-batch-resid";
-    return stats;
-  }
-  if (opts.cpu_engine == CpuEngine::kSkssLb &&
-      opts.storage != Storage::kKahanF32) {
-    PoolRef pool(opts);
-    sathost::SkssLbOptions lb;
-    lb.tile_w = opts.cpu_tile_w;
-    lb.metrics = opts.metrics;
-    lb.trace = opts.trace;
-    sathost::sat_skss_lb_batch<T>(pool.get(), inputs, outputs, lb);
-    stats.algorithm = "cpu-skss-lb-batch";
-    return stats;
-  }
-  if (opts.cpu_engine == CpuEngine::kSkssLb) {
-    // kKahanF32: one batched pass with the compensated tile sweep.
-    if constexpr (std::is_floating_point_v<T>) {
-      PoolRef pool(opts);
-      sathost::SkssLbOptions lb;
-      lb.tile_w = opts.cpu_tile_w;
-      lb.metrics = opts.metrics;
-      lb.trace = opts.trace;
-      lb.kahan = true;
-      sathost::sat_skss_lb_batch<T>(pool.get(), inputs, outputs, lb);
-      stats.algorithm = "cpu-skss-lb-batch-kahan";
-      return stats;
-    } else {
-      SAT_CHECK_MSG(false,
-                    "Storage::kKahanF32 requires a floating-point element "
-                    "type");
-    }
-  }
-  for (std::size_t k = 0; k < inputs.size(); ++k) {
-    stats.algorithm = run_cpu_engine<T>(inputs[k], outputs[k], opts) + "-batch";
-  }
+  stats.algorithm =
+      run_cpu_batch<T>(inputs, outputs, {}, opts, /*batch_entry=*/true);
   return stats;
 }
 
@@ -316,8 +243,14 @@ Result<T> compute_sat(const Matrix<T>& input, const Options& opts) {
   switch (opts.backend) {
     case Backend::kSimulatedGpu:
       return compute_on_simulated_gpu(input, opts);
-    case Backend::kCpu:
-      return compute_on_cpu(input, opts);
+    case Backend::kCpu: {
+      Result<T> result;
+      result.table = Matrix<T>(input.rows(), input.cols());
+      result.stats.algorithm = run_cpu_batch<T>(
+          {input.view()}, {result.table.view()}, {}, opts,
+          /*batch_entry=*/false);
+      return result;
+    }
   }
   SAT_CHECK_MSG(false, "unknown backend");
   return {};
@@ -327,13 +260,26 @@ template <class T>
 BatchResult<T> compute_sat_batch(const std::vector<Matrix<T>>& inputs,
                                  const Options& opts) {
   SAT_CHECK_MSG(!inputs.empty(), "empty batch");
+  if (opts.backend == Backend::kCpu) {
+    BatchResult<T> result;
+    std::vector<satutil::Span2d<const T>> srcs;
+    std::vector<satutil::Span2d<T>> dsts;
+    result.tables.reserve(inputs.size());
+    for (const auto& m : inputs) {
+      result.tables.emplace_back(m.rows(), m.cols());
+      srcs.push_back(m.view());
+      dsts.push_back(result.tables.back().view());
+    }
+    result.stats.algorithm =
+        run_cpu_batch<T>(srcs, dsts, {}, opts, /*batch_entry=*/true);
+    return result;
+  }
   const std::size_t in_rows = inputs[0].rows();
   const std::size_t in_cols = inputs[0].cols();
   for (const auto& m : inputs) {
     SAT_CHECK_MSG(m.rows() == in_rows && m.cols() == in_cols,
                   "batched matrices must share one shape");
   }
-  if (opts.backend == Backend::kCpu) return compute_batch_on_cpu(inputs, opts);
   SAT_CHECK_MSG(opts.storage == Storage::kDense,
                 "non-dense storage modes are CPU-backend only");
   SAT_CHECK(opts.tile_w > 0 && opts.tile_w % 32 == 0);
@@ -403,19 +349,9 @@ TiledResult<T> compute_sat_tiled(const Matrix<T>& input, const Options& opts) {
                 "compute_sat_tiled is CPU-backend only");
   TiledResult<T> result{
       TiledSat<T>(input.rows(), input.cols(), residual_tile_w(opts)), {}};
-  if (opts.cpu_engine == CpuEngine::kSkssLb) {
-    PoolRef pool(opts);
-    sathost::SkssLbOptions lb;
-    lb.tile_w = result.table.tile_w();
-    lb.metrics = opts.metrics;
-    lb.trace = opts.trace;
-    sathost::sat_skss_lb_residual<T>(pool.get(), input.view(), result.table,
-                                     lb);
-    result.stats.algorithm = "cpu-skss-lb-resid";
-  } else {
-    sathost::sat_residual<T>(input.view(), result.table, opts.metrics);
-    result.stats.algorithm = "cpu-resid";
-  }
+  result.stats.algorithm = run_cpu_batch<T>({input.view()}, {},
+                                            {&result.table}, opts,
+                                            /*batch_entry=*/false);
   return result;
 }
 

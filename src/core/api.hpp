@@ -37,12 +37,12 @@ enum class Backend {
   kCpu,           ///< run the multithreaded host implementation
 };
 
-/// Host engine selection for Backend::kCpu (see docs/host_engine.md).
+/// Host engine for Storage::kDense on Backend::kCpu (see
+/// docs/host_engine.md). The other storage modes have one producer each
+/// and ignore it.
 enum class CpuEngine {
   kSequential,  ///< single-threaded scalar reference
   kSimd,        ///< single-threaded fused SIMD sweep
-  kParallel,    ///< two-pass multithreaded (rows then columns)
-  kWavefront,   ///< tile wavefront with one barrier per anti-diagonal
   kSkssLb,      ///< the paper's 1R1W-SKSS-LB on worker threads
 };
 
@@ -63,13 +63,13 @@ struct Options {
   /// CPU backend: worker threads (0 = hardware concurrency).
   std::size_t cpu_threads = 0;
 
-  /// CPU backend: which host engine runs (docs/host_engine.md compares
-  /// them; kSkssLb is the paper's algorithm on the host).
-  CpuEngine cpu_engine = CpuEngine::kParallel;
+  /// CPU backend: which host engine computes a kDense table
+  /// (docs/host_engine.md compares them; kSkssLb is the paper's algorithm
+  /// on the host).
+  CpuEngine cpu_engine = CpuEngine::kSkssLb;
 
-  /// CPU backend: tile width for the tiled engines. Any positive value —
-  /// the host has no warp-multiple constraint. 0 = engine default
-  /// (kWavefront: 128; kSkssLb: automatic worker-count-scaled width, see
+  /// CPU backend: SKSS-LB tile width. Any positive value — the host has no
+  /// warp-multiple constraint. 0 = automatic worker-count-scaled width (see
   /// sathost::SkssLbOptions::tile_w).
   std::size_t cpu_tile_w = 0;
 
@@ -94,14 +94,16 @@ struct Options {
   std::size_t inject_serial = 0;
 
   /// Output storage mode (docs/host_engine.md, "Storage modes"). The
-  /// non-dense modes are CPU-backend only. kTiledResidual computes the
-  /// table in per-tile base+residual form (bit-exact for integral T while
-  /// every tile-local SAT fits T — a range extension past dense T); through
-  /// the dense-result entry points it is decoded back into the caller's
-  /// buffer, so use compute_sat_tiled to keep the compressed form.
-  /// kKahanF32 requires a floating-point element type and is supported by
-  /// the kSequential/kSimd/kSkssLb engines. cpu_tile_w doubles as the
-  /// residual tile width (0 ⇒ kDefaultResidualTileW).
+  /// non-dense modes are CPU-backend only and each has one producer,
+  /// whatever cpu_engine says. kTiledResidual runs the SKSS-LB residual
+  /// encoder (bit-exact for integral T while every tile-local SAT fits T —
+  /// a range extension past dense T); through the dense-result entry points
+  /// it is decoded back into the caller's buffer, so use compute_sat_tiled
+  /// to keep the compressed form. cpu_tile_w doubles as the residual tile
+  /// width (0 ⇒ kDefaultResidualTileW). kKahanF32 requires a
+  /// floating-point element type and runs the compensated SIMD sweep
+  /// (sathost::sat_kahan) per image: every cell stays within 1 ulp of the
+  /// exact sum, past the 2^24 boundary where plain f32 drifts.
   Storage storage = Storage::kDense;
 
   /// Optional observability (see docs/observability.md; neither owned).
@@ -174,12 +176,12 @@ BatchResult<T> compute_sat_batch(const std::vector<Matrix<T>>& inputs,
 /// caller-owned output views — the service hot path (tools/satd): no
 /// per-request Matrix allocation or result copy, and with Options::pool set
 /// no per-request thread creation either. CPU backend only (the simulated
-/// device owns its buffers; Options::backend must be kCpu). With
-/// cpu_engine == kSkssLb the whole batch shares ONE claim-range scheduler
-/// pass, so tiles of image k+1 pipeline behind the draining tail of image
-/// k (sathost::sat_skss_lb_batch); other engines run image-at-a-time on
-/// the same pool. Each outputs[b] must match inputs[b]'s shape and not
-/// alias it. All inputs must share one shape when cpu_engine == kSkssLb.
+/// device owns its buffers; Options::backend must be kCpu). The SKSS-LB
+/// engine and the residual encoder run the whole batch through ONE
+/// claim-range scheduler pass, so tiles of image k+1 pipeline behind the
+/// draining tail of image k (sathost::sat_skss_lb_batch); the other
+/// producers run image-at-a-time. All inputs must share one shape; each
+/// outputs[b] must match it and not alias inputs[b].
 template <class T>
 Stats compute_sat_batch_into(
     const std::vector<satutil::Span2d<const T>>& inputs,
@@ -203,10 +205,9 @@ struct TiledResult {
 
 /// Computes the SAT of `input` in tiled base+residual form without ever
 /// materializing the dense table (Storage::kTiledResidual kept compressed).
-/// CPU backend only. cpu_engine == kSkssLb runs the multithreaded claim-
-/// range encoder; every other engine value runs the single-threaded fused
-/// encoder. Options::storage is ignored (this entry point IS the residual
-/// mode).
+/// CPU backend only. Runs the SKSS-LB residual encoder on cpu_threads
+/// workers (or Options::pool); Options::storage and cpu_engine are ignored
+/// (this entry point IS the residual mode).
 template <class T>
 TiledResult<T> compute_sat_tiled(const Matrix<T>& input,
                                  const Options& opts = {});

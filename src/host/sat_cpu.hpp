@@ -1,8 +1,10 @@
-// Host (CPU) summed-area-table implementations.
+// Scalar host (CPU) summed-area-table oracles.
 //
 // `sat_sequential` is the auditable O(n²) oracle every simulated algorithm
-// is validated against. The blocked and parallel variants are the library's
-// practical CPU fallback and the subject of bench_host_sat.
+// and host engine is validated against; `sat_two_pass` and
+// `sat_sequential_kahan` cross-check it and the Kahan storage mode. The
+// engines themselves are sat_simd (host/sat_simd.hpp) and the paper's
+// 1R1W-SKSS-LB (host/sat_skss_lb.hpp).
 #pragma once
 
 #include <cstddef>
@@ -77,22 +79,6 @@ void sat_sequential_kahan(satutil::Span2d<const T> src,
       dst(i, j) = t;
     }
   }
-}
-
-/// Tiled SAT with width-`tile` column chunks. Historically this walked
-/// tile×tile blocks and recovered each block's row carry by re-reading (and
-/// subtracting) finished dst cells — a pass coupling that made it *slower*
-/// than sequential, compounded by the 16 KiB-strided block traversal
-/// defeating the hardware prefetcher. The fix is structural: the blocked
-/// traversal is subsumed by the fused single-pass engine, which carries row
-/// state in registers and column state in an L1-resident accumulator, so a
-/// tile boundary costs nothing. Delegates to sat_simd (identical results
-/// for every tile value); kept as a distinct entry point for its tile-sized
-/// working set and the bench history attached to its name.
-template <class T>
-void sat_blocked(satutil::Span2d<const T> src, satutil::Span2d<T> dst,
-                 std::size_t tile = 64) {
-  sat_simd(src, dst, tile);
 }
 
 }  // namespace sathost

@@ -1,31 +1,25 @@
-// Host encoders for Storage::kTiledResidual (sat/storage.hpp).
+// Host encoder for Storage::kTiledResidual (sat/storage.hpp).
 //
-// Two engines produce the tiled base+residual form:
-//
-//   - sat_residual: single-threaded band-by-band sweep. One pass over src
-//     with the fused SIMD row kernel per tile; the wide bases fall out of
-//     two running vectors (the SAT of the row above the current tile band,
-//     and the per-row sums left of the current tile). The sat_simd analog.
-//
-//   - sat_skss_lb_residual_batch: the 1R1W-SKSS-LB engine re-targeted at a
-//     TiledSat output. Identical claim-range scheduling, flag machine, and
-//     look-back walks as sat_skss_lb_batch (host/sat_skss_lb.hpp), with two
-//     deltas: the flag-published quantities are WIDE (LookbackAux<Wide>, so
-//     the bases stay exact past T's range), and step 4 — the dense fix-up
-//     store — becomes the tile encode: the look-back path's `band` vector
-//     IS RowBand and its `offrow` vector IS ColBand, so the residual
-//     encoding falls out of state the engine already computes. The residual
-//     width is chosen per tile at claim time from the tile's value range
-//     (TiledSat::encode_tile), with the wide fallback on u32 overflow.
-//     There is no fused fast path: residual encoding must see the whole
-//     tile before choosing a width, so every tile stages through the
-//     arena's local SAT buffer; what the engine saves is the output
-//     traffic — u16 residuals stream 2–4× fewer bytes than the dense table.
+// sat_skss_lb_residual_batch is the 1R1W-SKSS-LB engine re-targeted at a
+// TiledSat output, and the only producer of the tiled base+residual form
+// (one worker runs it single-threaded). Identical claim-range scheduling,
+// flag machine, and look-back walks as sat_skss_lb_batch
+// (host/sat_skss_lb.hpp), with two deltas: the flag-published quantities
+// are WIDE (LookbackAux<Wide>, so the bases stay exact past T's range), and
+// step 4 — the dense fix-up store — becomes the tile encode: the look-back
+// path's `band` vector IS RowBand and its `offrow` vector IS ColBand, so the
+// residual encoding falls out of state the engine already computes. The
+// residual width is chosen per tile at claim time from the tile's value
+// range (TiledSat::encode_tile), with the wide fallback on u32 overflow.
+// There is no fused fast path: residual encoding must see the whole tile
+// before choosing a width, so every tile stages through the arena's local
+// SAT buffer; what the engine saves is the output traffic — u16 residuals
+// stream 2–4× fewer bytes than the dense table.
 //
 // Deadlock freedom, claim discipline, and flag semantics are exactly those
 // of sat_skss_lb_batch; see that header's proof sketch.
 //
-// Both engines publish host.storage.{residual_bytes,dense_bytes,
+// The encoder publishes host.storage.{residual_bytes,dense_bytes,
 // overflow_tiles} when given a registry (docs/observability.md).
 #pragma once
 
@@ -68,90 +62,11 @@ inline void publish_storage_metrics(obs::Registry* reg,
 
 }  // namespace detail
 
-/// Single-threaded tiled-residual SAT encoder. `out` fixes the shape and
-/// tile width. Bit-exact reconstruction for integral T whenever every
-/// tile-local SAT fits T (see sat/storage.hpp's contract — the FULL table
-/// need not fit T).
-template <class T>
-void sat_residual(satutil::Span2d<const T> src, sat::TiledSat<T>& out,
-                  obs::Registry* reg = nullptr) {
-  using Wide = typename sat::TiledSat<T>::Wide;
-  const std::size_t rows = src.rows();
-  const std::size_t cols = src.cols();
-  SAT_CHECK_MSG(out.rows() == rows && out.cols() == cols,
-                "TiledSat shape mismatch: " << out.rows() << "x" << out.cols()
-                                            << " vs " << rows << "x" << cols);
-  const std::size_t w = out.tile_w();
-  const bool allow_stream = rows * cols * sizeof(T) >= kStreamMinBytes;
-
-  std::vector<T> tilebuf(w * w);
-  std::vector<T> acc(w);
-  std::vector<T> lrs(w);
-  // SAT(r0−1, c) along the full width — ColBand of the current tile band.
-  std::vector<Wide> garow(cols, Wide{});
-  // Per-row sums of src(r0+p, ·) left of the current tile.
-  std::vector<Wide> bandrow(w);
-  std::vector<Wide> row_band(w), col_band(w);
-
-  for (std::size_t ti = 0; ti < out.tile_rows(); ++ti) {
-    const std::size_t r0 = ti * w;
-    const std::size_t P = std::min(w, rows - r0);
-    std::fill(bandrow.begin(), bandrow.begin() + P, Wide{});
-    for (std::size_t tj = 0; tj < out.tile_cols(); ++tj) {
-      const std::size_t c0 = tj * w;
-      const std::size_t Q = std::min(w, cols - c0);
-
-      // Tile-local SAT (computed in T — the fast kernels; exactness
-      // contract above), row carries are the tile's row sums. The value
-      // range feeds encode_tile's width choice and is tracked here, per
-      // row, while the row is still L1-hot — a post-hoc sweep would be a
-      // second cold pass over the whole tile.
-      std::fill(acc.begin(), acc.begin() + Q, T{});
-      T mn{}, mx{};
-      for (std::size_t p = 0; p < P; ++p) {
-        T* row = tilebuf.data() + p * w;
-        lrs[p] = simd_row_scan_acc(&src(r0 + p, c0), acc.data(), row, Q, T{},
-                                   /*allow_stream=*/false);
-        if (p == 0) {
-          mn = row[0];
-          mx = row[0];
-        }
-        sat::detail::update_range(row, Q, mn, mx);
-      }
-
-      {
-        Wide run{};
-        for (std::size_t p = 0; p < P; ++p) {
-          run += bandrow[p];
-          row_band[p] = run;
-        }
-      }
-      for (std::size_t q = 0; q < Q; ++q) col_band[q] = garow[c0 + q];
-
-      out.encode_tile(out.tile_index(ti, tj), tilebuf.data(), w, P, Q,
-                      row_band.data(), col_band.data(), mn, mx, allow_stream);
-
-      // Advance the running vectors: the band-bottom SAT row over this
-      // tile's columns, and this tile's row sums into the left-of-tile
-      // accumulator for the next tile of the band.
-      const T* bottom = tilebuf.data() + (P - 1) * w;
-      for (std::size_t q = 0; q < Q; ++q)
-        garow[c0 + q] =
-            col_band[q] + row_band[P - 1] + static_cast<Wide>(bottom[q]);
-      for (std::size_t p = 0; p < P; ++p)
-        bandrow[p] += static_cast<Wide>(lrs[p]);
-    }
-  }
-  detail::publish_storage_metrics(reg, out.residual_bytes(), out.dense_bytes(),
-                                  out.overflow_tiles());
-}
-
 /// Batched 1R1W-SKSS-LB tiled-residual encoder: every image of the batch
 /// through one claim-range scheduler pass (pipelined across images exactly
 /// like sat_skss_lb_batch). All images share one shape; every `outs[b]`
 /// must match it and all must share one tile width, which fixes W
-/// (opt.tile_w, if set, must agree). opt.kahan does not apply to residual
-/// encoding and must be false.
+/// (opt.tile_w, if set, must agree).
 template <class T>
 void sat_skss_lb_residual_batch(ThreadPool& pool,
                                 const std::vector<satutil::Span2d<const T>>& srcs,
@@ -172,7 +87,6 @@ void sat_skss_lb_residual_batch(ThreadPool& pool,
   }
   SAT_CHECK_MSG(opt.tile_w == 0 || opt.tile_w == w,
                 "tile width is fixed by the TiledSat outputs");
-  SAT_CHECK_MSG(!opt.kahan, "kahan does not apply to residual encoding");
   if (rows == 0 || cols == 0) return;
 
   const std::size_t nworkers = opt.workers != 0 ? opt.workers : pool.size();
@@ -215,9 +129,8 @@ void sat_skss_lb_residual_batch(ThreadPool& pool,
     T* acc = tarena.acc();
     T* tilebuf = tarena.tile();
     T* lrs_t = tarena.grs_left();  // row-carry scratch in T
-    const bool deep = simd_row_block<T>(Q) == 8;
 
-    // Step 1: tile-local SAT in T — the same register-blocked sweeps as the
+    // Step 1: tile-local SAT in T — the same register-blocked sweep as the
     // dense engine's look-back path. Carries and bottom-row differences are
     // widened as they move into the flag-published slots. The value range
     // for encode_tile's width choice is folded in right behind each kernel
@@ -234,21 +147,6 @@ void sat_skss_lb_residual_batch(ThreadPool& pool,
     };
     {
       std::size_t p = 0;
-      if (deep) {
-        for (; p + 8 <= P; p += 8) {
-          const T* srows[8];
-          T* brows[8];
-          T carries[8] = {};
-          for (std::size_t k = 0; k < 8; ++k) {
-            srows[k] = &src(r0 + p + k, c0);
-            brows[k] = tilebuf + (p + k) * w;
-          }
-          simd_row_scan_acc8(srows, acc, brows, Q, carries,
-                             /*allow_stream=*/false);
-          for (std::size_t k = 0; k < 8; ++k) lrs_t[p + k] = carries[k];
-          track_rows(p, 8);
-        }
-      }
       for (; p + 4 <= P; p += 4) {
         const T* srows[4] = {&src(r0 + p, c0), &src(r0 + p + 1, c0),
                              &src(r0 + p + 2, c0), &src(r0 + p + 3, c0)};

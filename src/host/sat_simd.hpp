@@ -4,8 +4,8 @@
 //   - simd_row_scan / simd_row_scan_add: one matrix row as a sequence of
 //     in-register inclusive scans (log-step shift-add) chained by a
 //     broadcast carry — the register-level analog of §II Step 2.
-//   - simd_col_prefix: the vertical pass, VecWidth columns per iteration —
-//     the analog of §II Step 3 with coalesced "warp" accesses.
+//   - simd_row_scan_acc / simd_row_scan_acc4: the fused row step, one or
+//     four rows per pass over an L1-resident column accumulator.
 //   - sat_simd: the paper's two passes fused into one streaming sweep. An
 //     L1-resident accumulator row is the column-carry vector, a broadcast
 //     register is the row-carry vector, src is prefetched ahead of the load
@@ -76,32 +76,6 @@ T simd_row_scan_add(const T* src, const T* prev, T* dst, std::size_t n,
     dst[j] = carry + prev[j];
   }
   return carry;
-}
-
-/// Vertical prefix pass over columns [j0, j1): dst(i,j) = dst(i−1,j) +
-/// src(i,j), VecWidth columns at a time. `src` and `dst` must not alias.
-template <class T>
-void simd_col_prefix(satutil::Span2d<const T> src, satutil::Span2d<T> dst,
-                     std::size_t j0, std::size_t j1) {
-  using V = satsimd::Vec<T>;
-  const std::size_t rows = src.rows();
-  if (rows == 0 || j0 >= j1) return;
-  {
-    std::size_t j = j0;
-    for (; j + V::width <= j1; j += V::width)
-      V::load(&src(0, j)).store(&dst(0, j));
-    for (; j < j1; ++j) dst(0, j) = src(0, j);
-  }
-  for (std::size_t i = 1; i < rows; ++i) {
-    const T* up = &dst(i - 1, j0);
-    const T* in = &src(i, j0);
-    T* out = &dst(i, j0);
-    const std::size_t n = j1 - j0;
-    std::size_t j = 0;
-    for (; j + V::width <= n; j += V::width)
-      (V::load(up + j) + V::load(in + j)).store(out + j);
-    for (; j < n; ++j) out[j] = up[j] + in[j];
-  }
 }
 
 /// Bytes of lookahead for the software prefetch in the streaming kernel.
@@ -289,132 +263,6 @@ void simd_row_scan_acc4(const T* const src[4], T* acc, T* const dst[4],
     dst[1][j] = o1;
     dst[2][j] = o2;
     dst[3][j] = acc[j] = o3;
-  }
-}
-
-/// Row-chunk bytes from which a wide-register build switches from the
-/// 4-row to the 8-row register-blocked sweep. Below it the extra carry
-/// bookkeeping of the deep sweep cannot amortize the halved accumulator
-/// traffic even when nothing spills.
-inline constexpr std::size_t kDeepRowMinBytes = 8192;
-
-/// Whether the 8-row sweep can win at all on this build's register file.
-/// The deep variant keeps ~24 vectors live; on the 16-register AVX2/SSE2
-/// files the resulting spills make it slower at EVERY chunk width —
-/// measured at -O2 -mavx2 (f32, best-of trials): 1.04-1.17x slower
-/// cache-resident and ~1.37x slower with non-temporal streaming, from
-/// 2 KiB through 64 KiB chunks. (An earlier -O3 -march=native microbench
-/// showed a 32 KiB win; the shipped -O2 -mavx2 codegen never reproduces
-/// it.) So depth 8 is gated on a >=32-register file and today's backends
-/// always scan 4-deep; the deep kernel stays built and bit-equality-tested
-/// as the seam for a wider-file backend.
-inline constexpr bool kDeepRowsProfitable = satsimd::kVectorRegisters >= 32;
-
-/// Runtime depth heuristic for the register-blocked row sweep: 8 source
-/// rows per accumulator pass when the register file fits the deep working
-/// set and the chunk spans at least kDeepRowMinBytes of src per row, else
-/// 4. Both depths are bit-equal to chained 1-row calls, so mixing them
-/// inside one tile is exact.
-template <class T>
-[[nodiscard]] inline std::size_t simd_row_block(std::size_t n) {
-  return kDeepRowsProfitable && n * sizeof(T) >= kDeepRowMinBytes ? 8 : 4;
-}
-
-/// Register-blocked 8-row variant — the deep end of the systolic row sweep
-/// (simd_row_scan_acc4's pattern at twice the depth): eight source rows
-/// advance through one accumulator row per sweep, so `acc` moves through
-/// the cache hierarchy once per eight output rows and the eight independent
-/// horizontal carry chains hide the scan latency entirely. Association
-/// order is identical to eight successive simd_row_scan_acc calls —
-/// bit-equal, not just close. `carries[0..7]` are per-row carry-ins and
-/// receive the carry-outs. Same streaming/WC-line rule as the 1-row kernel,
-/// keyed on dst[0] and dst[1] alignment.
-template <class T>
-void simd_row_scan_acc8(const T* const src[8], T* acc, T* const dst[8],
-                        std::size_t n, T carries[8],
-                        bool allow_stream = true) {
-  using V = satsimd::Vec<T>;
-  std::size_t j = 0;
-  if (n >= V::width) {
-    V v0 = V::broadcast(carries[0]), v1 = V::broadcast(carries[1]);
-    V v2 = V::broadcast(carries[2]), v3 = V::broadcast(carries[3]);
-    V v4 = V::broadcast(carries[4]), v5 = V::broadcast(carries[5]);
-    V v6 = V::broadcast(carries[6]), v7 = V::broadcast(carries[7]);
-    const bool stream =
-        allow_stream &&
-        reinterpret_cast<std::uintptr_t>(dst[0]) % (V::width * sizeof(T)) ==
-            0 &&
-        reinterpret_cast<std::uintptr_t>(dst[1]) % (V::width * sizeof(T)) ==
-            0;
-    auto loop = [&](auto streamed) {
-      for (; j + V::width <= n; j += V::width) {
-        satsimd::prefetch(reinterpret_cast<const char*>(src[0] + j) +
-                          kPrefetchAheadBytes);
-        satsimd::prefetch(reinterpret_cast<const char*>(src[4] + j) +
-                          kPrefetchAheadBytes);
-        satsimd::prefetch(reinterpret_cast<const char*>(src[7] + j) +
-                          kPrefetchAheadBytes);
-        const V x0 = V::load(src[0] + j), x1 = V::load(src[1] + j);
-        const V x2 = V::load(src[2] + j), x3 = V::load(src[3] + j);
-        const V x4 = V::load(src[4] + j), x5 = V::load(src[5] + j);
-        const V x6 = V::load(src[6] + j), x7 = V::load(src[7] + j);
-        const V o0 = x0.inclusive_scan() + v0 + V::load(acc + j);
-        const V o1 = x1.inclusive_scan() + v1 + o0;
-        const V o2 = x2.inclusive_scan() + v2 + o1;
-        const V o3 = x3.inclusive_scan() + v3 + o2;
-        const V o4 = x4.inclusive_scan() + v4 + o3;
-        const V o5 = x5.inclusive_scan() + v5 + o4;
-        const V o6 = x6.inclusive_scan() + v6 + o5;
-        const V o7 = x7.inclusive_scan() + v7 + o6;
-        if constexpr (decltype(streamed)::value) {
-          o0.store_stream(dst[0] + j);
-          o1.store_stream(dst[1] + j);
-          o2.store_stream(dst[2] + j);
-          o3.store_stream(dst[3] + j);
-          o4.store_stream(dst[4] + j);
-          o5.store_stream(dst[5] + j);
-          o6.store_stream(dst[6] + j);
-          o7.store_stream(dst[7] + j);
-        } else {
-          o0.store(dst[0] + j);
-          o1.store(dst[1] + j);
-          o2.store(dst[2] + j);
-          o3.store(dst[3] + j);
-          o4.store(dst[4] + j);
-          o5.store(dst[5] + j);
-          o6.store(dst[6] + j);
-          o7.store(dst[7] + j);
-        }
-        o7.store(acc + j);
-        v0 += x0.sum_broadcast();
-        v1 += x1.sum_broadcast();
-        v2 += x2.sum_broadcast();
-        v3 += x3.sum_broadcast();
-        v4 += x4.sum_broadcast();
-        v5 += x5.sum_broadcast();
-        v6 += x6.sum_broadcast();
-        v7 += x7.sum_broadcast();
-      }
-    };
-    if (stream) loop(std::true_type{});
-    else loop(std::false_type{});
-    carries[0] = v0.last();
-    carries[1] = v1.last();
-    carries[2] = v2.last();
-    carries[3] = v3.last();
-    carries[4] = v4.last();
-    carries[5] = v5.last();
-    carries[6] = v6.last();
-    carries[7] = v7.last();
-  }
-  for (; j < n; ++j) {
-    T run = acc[j];
-    for (std::size_t r = 0; r < 8; ++r) {
-      carries[r] += src[r][j];
-      run += carries[r];
-      dst[r][j] = run;
-    }
-    acc[j] = run;
   }
 }
 

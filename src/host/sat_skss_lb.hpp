@@ -2,11 +2,10 @@
 // on CPU worker threads.
 //
 // Why this engine exists: SAT is memory-bound, so every extra sweep over the
-// matrix is pure wasted DRAM traffic. The repo's two earlier multithreaded
-// host engines both pay one: `sat_parallel` materializes a full intermediate
-// pass (2R2W-shaped traffic), `sat_wavefront` re-reads finished dst cells to
-// recover carries and barriers once per anti-diagonal. This engine is the
-// paper's answer ported to the host: worker threads act as CUDA blocks,
+// matrix is pure wasted DRAM traffic. A two-pass split materializes a full
+// intermediate pass (2R2W-shaped traffic), and a barrier per anti-diagonal
+// stalls every worker on the slowest tile. This engine is the paper's
+// answer ported to the host: worker threads act as CUDA blocks,
 // self-assigning tiles in diagonal-major serial order
 //   σ(I,J) = (I+J)(I+J+1)/2 + I                        (Figure 9),
 // computing each tile's SAT with the fused SIMD kernels in one read and one
@@ -99,14 +98,6 @@ struct SkssLbOptions {
   /// batch run the serial is global: image = serial / tiles_per_image.
   /// Leave empty in production.
   std::function<void(std::size_t serial)> tile_hook;
-  /// Kahan-compensate the column accumulation inside each tile sweep
-  /// (Storage::kKahanF32). Floating-point T only. The compensation row
-  /// resets at tile boundaries — the residue a tile hands to the one below
-  /// travels through the GCS flags uncompensated — so the error bound is
-  /// O(tiles per column) ulp instead of kahan's O(1), still far below the
-  /// O(rows) ulp of plain f32 accumulation. Uses the 1-deep row kernel
-  /// (the register-blocked variants have no compensated form).
-  bool kahan = false;
 };
 
 namespace detail {
@@ -157,14 +148,12 @@ class TileArena {
                 "arena scratch is zero-filled bytewise");
 
  public:
-  explicit TileArena(std::size_t w) : w_(w), rows_(alloc_touched(5 * w)) {}
+  explicit TileArena(std::size_t w) : w_(w), rows_(alloc_touched(4 * w)) {}
 
   T* acc() noexcept { return rows_.get(); }
   T* grs_left() noexcept { return rows_.get() + w_; }
   T* gcs_up() noexcept { return rows_.get() + 2 * w_; }
   T* offrow() noexcept { return rows_.get() + 3 * w_; }
-  /// Kahan compensation row (SkssLbOptions::kahan); zeroed per tile.
-  T* comp() noexcept { return rows_.get() + 4 * w_; }
 
   /// The W² tile buffer, faulted on first slow-path use.
   T* tile() {
@@ -221,9 +210,6 @@ void sat_skss_lb_batch(ThreadPool& pool,
     SAT_CHECK(dsts[b].rows() == rows && dsts[b].cols() == cols);
   }
   if (rows == 0 || cols == 0) return;
-  if constexpr (!std::is_floating_point_v<T>)
-    SAT_CHECK_MSG(!opt.kahan,
-                  "SkssLbOptions::kahan requires a floating-point table");
 
   const std::size_t nworkers =
       opt.workers != 0 ? opt.workers : pool.size();
@@ -283,10 +269,6 @@ void sat_skss_lb_batch(ThreadPool& pool,
                                                 : 0;
     T* grs_self = iaux.grs.get() + iaux.vec_base(self);
     T* gcs_self = iaux.gcs.get() + iaux.vec_base(self);
-    // Runtime depth heuristic for the register-blocked row sweep; both
-    // depths are bit-equal to chained 1-row calls, so edge tiles with a
-    // shorter Q than their neighbors still produce exact results.
-    const bool deep = simd_row_block<T>(Q) == 8;
 
     const bool fast =
         (tj == 0 || iaux.r_status.peek(left) >= hflag::kGrs) &&
@@ -313,38 +295,6 @@ void sat_skss_lb_batch(ThreadPool& pool,
         }
       }
       std::size_t p = 0;
-      if constexpr (std::is_floating_point_v<T>) {
-        if (opt.kahan) {
-          // Compensated sweep: 1-deep rows only; comp resets per tile (the
-          // residue crossing to the tile below is dropped, see the option's
-          // comment). Leaves p == P, so the blocked loops below no-op.
-          T* comp = arena.comp();
-          std::fill(comp, comp + Q, T{});
-          for (; p < P; ++p) {
-            const T carry_in = grs_in != nullptr ? grs_in[p] : T{};
-            band_left += carry_in;
-            grs_self[p] =
-                kahan_row_scan_acc(&src(r0 + p, c0), acc, comp,
-                                   &dst(r0 + p, c0), Q, carry_in,
-                                   allow_stream);
-          }
-        }
-      }
-      if (deep) {
-        for (; p + 8 <= P; p += 8) {
-          const T* srows[8];
-          T* drows[8];
-          T carries[8];
-          for (std::size_t k = 0; k < 8; ++k) {
-            srows[k] = &src(r0 + p + k, c0);
-            drows[k] = &dst(r0 + p + k, c0);
-            carries[k] = grs_in != nullptr ? grs_in[p + k] : T{};
-            band_left += carries[k];
-          }
-          simd_row_scan_acc8(srows, acc, drows, Q, carries, allow_stream);
-          for (std::size_t k = 0; k < 8; ++k) grs_self[p + k] = carries[k];
-        }
-      }
       for (; p + 4 <= P; p += 4) {
         const T* srows[4] = {&src(r0 + p, c0), &src(r0 + p + 1, c0),
                              &src(r0 + p + 2, c0), &src(r0 + p + 3, c0)};
@@ -394,30 +344,6 @@ void sat_skss_lb_batch(ThreadPool& pool,
       std::fill(acc, acc + Q, T{});
       {
         std::size_t p = 0;
-        if constexpr (std::is_floating_point_v<T>) {
-          if (opt.kahan) {
-            T* comp = arena.comp();
-            std::fill(comp, comp + Q, T{});
-            for (; p < P; ++p)
-              lrs_self[p] = kahan_row_scan_acc(&src(r0 + p, c0), acc, comp,
-                                               tilebuf + p * w, Q, T{},
-                                               /*allow_stream=*/false);
-          }
-        }
-        if (deep) {
-          for (; p + 8 <= P; p += 8) {
-            const T* srows[8];
-            T* brows[8];
-            T carries[8] = {};
-            for (std::size_t k = 0; k < 8; ++k) {
-              srows[k] = &src(r0 + p + k, c0);
-              brows[k] = tilebuf + (p + k) * w;
-            }
-            simd_row_scan_acc8(srows, acc, brows, Q, carries,
-                               /*allow_stream=*/false);
-            for (std::size_t k = 0; k < 8; ++k) lrs_self[p + k] = carries[k];
-          }
-        }
         for (; p + 4 <= P; p += 4) {
           const T* srows[4] = {&src(r0 + p, c0), &src(r0 + p + 1, c0),
                                &src(r0 + p + 2, c0), &src(r0 + p + 3, c0)};

@@ -40,13 +40,6 @@ inline constexpr bool kVectorized = false;
 [[nodiscard]] inline const char* backend_name() { return "scalar"; }
 #endif
 
-/// Architectural vector registers the backend can keep live before the
-/// compiler must spill. Both x86-64 backends expose 16 (ymm0-15 / xmm0-15);
-/// the scalar fallback is modeled at the same conservative figure. Depth
-/// heuristics in the row kernels key off this — an 8-row systolic sweep
-/// holds ~24 vectors live and only pays on a ≥32-register file.
-inline constexpr std::size_t kVectorRegisters = 16;
-
 /// Hints the hardware to fetch the cache line containing `p`. Streaming
 /// kernels issue this a few KiB ahead of the load cursor; single-core
 /// sustained read bandwidth roughly doubles on typical server parts.

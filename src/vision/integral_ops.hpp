@@ -13,6 +13,7 @@
 #include "core/matrix.hpp"
 #include "core/region.hpp"
 #include "host/sat_residual.hpp"
+#include "host/thread_pool.hpp"
 #include "sat/storage.hpp"
 #include "util/check.hpp"
 
@@ -124,8 +125,11 @@ struct TiledMomentTables {
     TiledMomentTables t;
     t.sum = sat::TiledSat<double>(rows, cols, tile_w);
     t.sum_sq = sat::TiledSat<double>(rows, cols, tile_w);
-    sathost::sat_residual<double>(v.view(), t.sum);
-    sathost::sat_residual<double>(v2.view(), t.sum_sq);
+    // The residual encoder on the calling thread (a 1-worker pool spawns
+    // none); both tables share one scheduler pass.
+    sathost::ThreadPool pool(1);
+    sathost::sat_skss_lb_residual_batch<double>(pool, {v.view(), v2.view()},
+                                                {&t.sum, &t.sum_sq});
     return t;
   }
 

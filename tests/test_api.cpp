@@ -2,6 +2,9 @@
 // validation, and option handling.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
 #include "core/api.hpp"
 #include "host/sat_cpu.hpp"
 #include "util/rng.hpp"
@@ -11,6 +14,113 @@ namespace {
 using sat::Matrix;
 using sat::Options;
 using sat::Rect;
+
+/// Runs `ins` through one of the three dense-result CPU entry points
+/// (0: compute_sat per image, 1: compute_sat_batch, 2:
+/// compute_sat_batch_into) and returns the tables.
+template <class T>
+std::vector<Matrix<T>> run_dense_entry(int entry,
+                                       const std::vector<Matrix<T>>& ins,
+                                       const Options& o) {
+  if (entry == 1) return sat::compute_sat_batch(ins, o).tables;
+  std::vector<Matrix<T>> outs;
+  for (const auto& m : ins) {
+    if (entry == 0) outs.push_back(sat::compute_sat(m, o).table);
+    else outs.emplace_back(m.rows(), m.cols());
+  }
+  if (entry == 2) {
+    std::vector<satutil::Span2d<const T>> srcs;
+    std::vector<satutil::Span2d<T>> dsts;
+    for (std::size_t k = 0; k < ins.size(); ++k) {
+      srcs.push_back(ins[k].view());
+      dsts.push_back(outs[k].view());
+    }
+    (void)sat::compute_sat_batch_into<T>(srcs, dsts, o);
+  }
+  return outs;
+}
+
+// Every CPU engine × storage mode × CPU entry point, over degenerate and
+// ragged shapes. i32 dense and residual tables are bit-exact against
+// sat_sequential; u8-valued f32 Kahan tables are within 1 ulp of an exact
+// i64 oracle; Kahan on i32 is rejected; compute_sat_tiled (which ignores
+// Options::storage: it is the residual mode) keeps cpu_tile_w as its tile
+// width whatever the engine.
+TEST(Api, CpuDispatchMatrix) {
+  using sat::CpuEngine;
+  using sat::Storage;
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {1, 100}, {100, 1}, {33, 97}, {130, 70}};
+  for (const auto& [rows, cols] : shapes) {
+    std::vector<Matrix<std::int32_t>> ins, refs;
+    std::vector<Matrix<float>> ins_f;
+    std::vector<Matrix<std::int64_t>> exact;
+    for (std::uint64_t k = 0; k < 2; ++k) {
+      ins.push_back(Matrix<std::int32_t>::random(rows, cols, 40 + k, 0, 255));
+      refs.emplace_back(rows, cols);
+      sathost::sat_sequential<std::int32_t>(ins[k].view(), refs[k].view());
+      ins_f.emplace_back(rows, cols);
+      Matrix<std::int64_t> wide(rows, cols);
+      for (std::size_t i = 0; i < rows; ++i)
+        for (std::size_t j = 0; j < cols; ++j) {
+          ins_f[k](i, j) = static_cast<float>(ins[k](i, j));
+          wide(i, j) = ins[k](i, j);
+        }
+      exact.emplace_back(rows, cols);
+      sathost::sat_sequential<std::int64_t>(wide.view(), exact[k].view());
+    }
+    for (CpuEngine engine :
+         {CpuEngine::kSequential, CpuEngine::kSimd, CpuEngine::kSkssLb}) {
+      for (Storage storage : {Storage::kDense, Storage::kTiledResidual,
+                              Storage::kKahanF32}) {
+        for (std::size_t tile_w : {std::size_t{0}, std::size_t{32}}) {
+          Options o;
+          o.backend = sat::Backend::kCpu;
+          o.cpu_engine = engine;
+          o.cpu_threads = 3;
+          o.cpu_tile_w = tile_w;
+          o.storage = storage;
+          const std::string where =
+              std::to_string(rows) + "x" + std::to_string(cols) +
+              " engine=" + std::to_string(static_cast<int>(engine)) +
+              " storage=" + std::to_string(static_cast<int>(storage)) +
+              " w=" + std::to_string(tile_w);
+          for (int entry = 0; entry < 3; ++entry) {
+            if (storage == Storage::kKahanF32) {
+              EXPECT_THROW((void)run_dense_entry(entry, ins, o),
+                           satutil::CheckError)
+                  << where << " entry=" << entry;
+              const auto got = run_dense_entry(entry, ins_f, o);
+              for (std::size_t k = 0; k < ins.size(); ++k)
+                for (std::size_t i = 0; i < rows; ++i)
+                  for (std::size_t j = 0; j < cols; ++j) {
+                    const float e = static_cast<float>(exact[k](i, j));
+                    const double ulp = std::nextafterf(e, HUGE_VALF) - e;
+                    ASSERT_LE(std::abs(static_cast<double>(got[k](i, j)) -
+                                       static_cast<double>(exact[k](i, j))),
+                              ulp)
+                        << where << " entry=" << entry << " @" << i << ","
+                        << j;
+                  }
+            } else {
+              const auto got = run_dense_entry(entry, ins, o);
+              for (std::size_t k = 0; k < ins.size(); ++k)
+                ASSERT_EQ(got[k], refs[k]) << where << " entry=" << entry;
+            }
+          }
+          const auto tiled = sat::compute_sat_tiled(ins[0], o);
+          EXPECT_EQ(tiled.table.tile_w(),
+                    tile_w != 0 ? tile_w : sat::kDefaultResidualTileW)
+              << where;
+          for (std::size_t i = 0; i < rows; ++i)
+            for (std::size_t j = 0; j < cols; ++j)
+              ASSERT_EQ(tiled.table.value(i, j), refs[0](i, j))
+                  << where << " tiled @" << i << "," << j;
+        }
+      }
+    }
+  }
+}
 
 TEST(Api, DefaultOptionsComputeCorrectSat) {
   const auto input = Matrix<std::int32_t>::random(256, 256, 1, 0, 100);
@@ -41,7 +151,7 @@ TEST(Api, CpuBackend) {
   opts.cpu_threads = 3;
   const auto result = sat::compute_sat(input, opts);
   EXPECT_FALSE(sat::validate_sat(input, result.table).has_value());
-  EXPECT_EQ(result.stats.algorithm, "cpu-parallel");
+  EXPECT_EQ(result.stats.algorithm, "cpu-skss-lb");  // the default engine
 }
 
 TEST(Api, NonSquareShapesArePaddedInternally) {

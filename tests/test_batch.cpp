@@ -102,10 +102,40 @@ TEST(Batch, CpuNonPipelinedEnginesStillBatch) {
 
 TEST(Batch, RejectsMixedShapesAndEmptyBatch) {
   std::vector<Matrix<std::int32_t>> mixed = {
-      Matrix<std::int32_t>(64, 64, 1), Matrix<std::int32_t>(64, 96, 1)};
+      Matrix<std::int32_t>(64, 64, 1), Matrix<std::int32_t>(64, 64, 1),
+      Matrix<std::int32_t>(64, 96, 1)};
   EXPECT_THROW((void)sat::compute_sat_batch(mixed), satutil::CheckError);
   EXPECT_THROW((void)sat::compute_sat_batch(std::vector<Matrix<float>>{}),
                satutil::CheckError);
+  // The CPU batch entry points apply the same rule for every engine and
+  // name the first image that breaks it.
+  std::vector<Matrix<std::int32_t>> outs;
+  std::vector<satutil::Span2d<const std::int32_t>> srcs;
+  std::vector<satutil::Span2d<std::int32_t>> dsts;
+  for (const auto& m : mixed) outs.emplace_back(m.rows(), m.cols());
+  for (std::size_t k = 0; k < mixed.size(); ++k) {
+    srcs.push_back(mixed[k].view());
+    dsts.push_back(outs[k].view());
+  }
+  for (sat::CpuEngine engine : {sat::CpuEngine::kSequential,
+                                sat::CpuEngine::kSimd,
+                                sat::CpuEngine::kSkssLb}) {
+    sat::Options opts;
+    opts.backend = sat::Backend::kCpu;
+    opts.cpu_engine = engine;
+    opts.cpu_threads = 2;
+    EXPECT_THROW((void)sat::compute_sat_batch(mixed, opts),
+                 satutil::CheckError);
+    try {
+      (void)sat::compute_sat_batch_into<std::int32_t>(srcs, dsts, opts);
+      ADD_FAILURE() << "mixed shapes accepted by engine "
+                    << static_cast<int>(engine);
+    } catch (const satutil::CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("image 2 is 64x96"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Batch, OneLaunchOneAtomicPerTile) {

@@ -7,8 +7,7 @@
 
 #include "core/matrix.hpp"
 #include "host/sat_cpu.hpp"
-#include "host/sat_parallel.hpp"
-#include "host/sat_wavefront.hpp"
+#include "host/sat_skss_lb.hpp"
 #include "host/thread_pool.hpp"
 
 namespace {
@@ -42,19 +41,23 @@ TEST(HostSat, TwoPassEqualsSinglePass) {
   EXPECT_EQ(b1, b2);
 }
 
+// sat_simd splits every row into column blocks of width `tile`; the block
+// width must never change the result.
 class BlockedTile : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(BlockedTile, BlockedMatchesSequential) {
   const auto a = Matrix<std::int64_t>::random(130, 70, 3, 0, 50);
   Matrix<std::int64_t> ref(130, 70), got(130, 70);
   sathost::sat_sequential<std::int64_t>(a.view(), ref.view());
-  sathost::sat_blocked<std::int64_t>(a.view(), got.view(), GetParam());
+  sathost::sat_simd<std::int64_t>(a.view(), got.view(), GetParam());
   EXPECT_EQ(got, ref);
 }
 
 INSTANTIATE_TEST_SUITE_P(Tiles, BlockedTile,
                          ::testing::Values<std::size_t>(1, 7, 16, 64, 200));
 
+// The multithreaded engine (1R1W-SKSS-LB, automatic tile width) at every
+// pool size.
 class ParallelWorkers : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(ParallelWorkers, ParallelMatchesSequential) {
@@ -62,13 +65,15 @@ TEST_P(ParallelWorkers, ParallelMatchesSequential) {
   Matrix<std::int64_t> ref(101, 257), got(101, 257);
   sathost::sat_sequential<std::int64_t>(a.view(), ref.view());
   sathost::ThreadPool pool(GetParam());
-  sathost::sat_parallel<std::int64_t>(pool, a.view(), got.view());
+  sathost::sat_skss_lb<std::int64_t>(pool, a.view(), got.view());
   EXPECT_EQ(got, ref);
 }
 
 INSTANTIATE_TEST_SUITE_P(Workers, ParallelWorkers,
                          ::testing::Values<std::size_t>(1, 2, 4, 8));
 
+// The SKSS-LB engine claims tiles in anti-diagonal (wavefront) order; every
+// shape/tile-width pair, ragged edges included, must match sequential.
 class WavefrontShapes
     : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t, std::size_t>> {};
 
@@ -78,7 +83,9 @@ TEST_P(WavefrontShapes, WavefrontMatchesSequential) {
   Matrix<std::int64_t> ref(rows, cols), got(rows, cols);
   sathost::sat_sequential<std::int64_t>(a.view(), ref.view());
   sathost::ThreadPool pool(4);
-  sathost::sat_wavefront<std::int64_t>(pool, a.view(), got.view(), tile);
+  sathost::SkssLbOptions opt;
+  opt.tile_w = tile;
+  sathost::sat_skss_lb<std::int64_t>(pool, a.view(), got.view(), opt);
   EXPECT_EQ(got, ref);
 }
 

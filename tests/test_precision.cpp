@@ -131,44 +131,65 @@ TEST(Precision, PlainF32SatDivergesAtThe2p24Boundary) {
 }
 
 TEST(Precision, KahanF32StaysCorrectlyRoundedPastTheBoundary) {
-  // 512² is well past the divergence size pinned above. The compensated
-  // scans cannot beat the f32 representation — an odd integer above 2^24
-  // still has no f32 encoding — but they must stay within 1 ulp of the
-  // exact value (the compensation term carries what the naive accumulation
-  // drops), for every engine that supports Storage::kKahanF32.
-  const std::size_t n = 512;
+  // 2048² is far past the divergence size pinned above (the corner sum is
+  // ~2^29). The compensated scans cannot beat the f32 representation — an
+  // odd integer above 2^24 still has no f32 encoding — but they must stay
+  // within 1 ulp of the exact value (the compensation term carries what
+  // the naive accumulation drops), whatever engine, worker count or tile
+  // width the options name, through both the single-image and the batch
+  // entry point.
+  const std::size_t n = 2048;
   const U8Workload wl(n);
   Matrix<float> plain(n, n);
   sathost::sat_sequential<float>(wl.input.view(), plain.view());
-
-  for (sat::CpuEngine engine : {sat::CpuEngine::kSequential,
-                                sat::CpuEngine::kSimd,
-                                sat::CpuEngine::kSkssLb}) {
-    sat::Options o;
-    o.backend = sat::Backend::kCpu;
-    o.cpu_engine = engine;
-    o.cpu_threads = 2;
-    o.storage = sat::Storage::kKahanF32;
-    const auto kah = sat::compute_sat(wl.input, o);
-    double plain_worst = 0, kahan_worst = 0;
+  auto worst_ulps = [&](const Matrix<float>& table) {
+    double worst = 0;
     for (std::size_t i = 0; i < n; ++i)
       for (std::size_t j = 0; j < n; ++j) {
         const double exact = static_cast<double>(wl.oracle(i, j));
         const double ulp =
             std::abs(static_cast<double>(
                 std::nextafterf(plain(i, j), HUGE_VALF) - plain(i, j)));
-        kahan_worst = std::max(
-            kahan_worst,
-            std::abs(static_cast<double>(kah.table(i, j)) - exact) /
-                std::max(1.0, ulp));
-        plain_worst = std::max(
-            plain_worst, std::abs(static_cast<double>(plain(i, j)) - exact) /
+        worst = std::max(worst,
+                         std::abs(static_cast<double>(table(i, j)) - exact) /
                              std::max(1.0, ulp));
       }
-    EXPECT_LE(kahan_worst, 1.0) << static_cast<int>(engine)
-                                << ": compensated scan drifted past 1 ulp";
-    // The naive table is meaningfully worse by the same yardstick.
-    EXPECT_GT(plain_worst, 4 * kahan_worst);
+    return worst;
+  };
+  const double plain_worst = worst_ulps(plain);
+  // The scalar reference. Row prefixes of u8 input stay below 2^24, so
+  // the vectorized sweep performs the same compensated column folds and
+  // must match it bit for bit.
+  Matrix<float> reference(n, n);
+  sathost::sat_sequential_kahan<float>(wl.input.view(), reference.view());
+  EXPECT_LE(worst_ulps(reference), 1.0);
+
+  for (sat::CpuEngine engine : {sat::CpuEngine::kSequential,
+                                sat::CpuEngine::kSimd,
+                                sat::CpuEngine::kSkssLb}) {
+    for (std::size_t tile_w : {std::size_t{0}, std::size_t{64}}) {
+      sat::Options o;
+      o.backend = sat::Backend::kCpu;
+      o.cpu_engine = engine;
+      o.cpu_threads = 4;
+      o.cpu_tile_w = tile_w;
+      o.storage = sat::Storage::kKahanF32;
+      const Matrix<float> single = sat::compute_sat(wl.input, o).table;
+      Matrix<float> batched(n, n);
+      (void)sat::compute_sat_batch_into<float>({wl.input.view()},
+                                               {batched.view()}, o);
+      const Matrix<float>* tables[] = {&single, &batched};
+      for (const Matrix<float>* kah : tables) {
+        const double kahan_worst = worst_ulps(*kah);
+        EXPECT_LE(kahan_worst, 1.0)
+            << "engine " << static_cast<int>(engine) << " w=" << tile_w
+            << (kah == &batched ? " batch" : " single")
+            << ": compensated scan drifted past 1 ulp";
+        // The naive table is meaningfully worse by the same yardstick.
+        EXPECT_GT(plain_worst, 4 * kahan_worst);
+        EXPECT_TRUE(*kah == reference);
+      }
+    }
   }
 }
 

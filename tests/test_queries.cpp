@@ -9,6 +9,7 @@
 #include "gpusim/gpusim.hpp"
 #include "host/sat_cpu.hpp"
 #include "host/sat_residual.hpp"
+#include "host/thread_pool.hpp"
 #include "sat/query_kernel.hpp"
 #include "util/pgm.hpp"
 #include "util/rng.hpp"
@@ -141,7 +142,8 @@ TEST(StorageModeQueries, DenseAndResidualAgreeOnDegenerateAndStraddling) {
   sat::Matrix<std::int64_t> dense(rows, cols);
   sathost::sat_sequential<std::int64_t>(wide.view(), dense.view());
   sat::TiledSat<std::int32_t> tiled(rows, cols, w);
-  sathost::sat_residual<std::int32_t>(in.view(), tiled);
+  sathost::ThreadPool pool(2);
+  sathost::sat_skss_lb_residual<std::int32_t>(pool, in.view(), tiled);
 
   for (const Rect& r : query_battery(rows, cols, w)) {
     const std::int64_t expect = sat::region_sum(dense, r);
@@ -187,7 +189,8 @@ TEST(StorageModeQueries, TiledQueryKernelHandlesTheBattery) {
   sat::Matrix<std::int64_t> dense(rows, cols);
   sathost::sat_sequential<std::int64_t>(in.view(), dense.view());
   sat::TiledSat<std::int64_t> tiled(rows, cols, w);
-  sathost::sat_residual<std::int64_t>(in.view(), tiled);
+  sathost::ThreadPool pool(2);
+  sathost::sat_skss_lb_residual<std::int64_t>(pool, in.view(), tiled);
   gpusim::SimContext qsim;
   const auto battery = query_battery(rows, cols, w);
   const auto got = satalgo::run_query_kernel_tiled(qsim, tiled, battery);

@@ -111,32 +111,31 @@ TYPED_TEST(SatSimdDifferential, MatchesSequentialRectangular) {
 }
 
 TEST(SatSimdParity, BlockedCarryFixStillMatchesSequential) {
-  // The hoisted per-band carry column must not change results, including
-  // when tiles straddle the matrix edge.
+  // The row carry handed from one column block to the next must not change
+  // results, including when blocks straddle the matrix edge.
   const auto a = sat::Matrix<std::int64_t>::random(131, 259, 17, 0, 99);
   sat::Matrix<std::int64_t> ref(131, 259), got(131, 259);
   sathost::sat_sequential<std::int64_t>(a.view(), ref.view());
   for (std::size_t tile : {1ul, 16ul, 64ul, 131ul, 512ul}) {
-    sathost::sat_blocked<std::int64_t>(a.view(), got.view(), tile);
+    sathost::sat_simd<std::int64_t>(a.view(), got.view(), tile);
     EXPECT_EQ(got, ref) << "tile=" << tile;
   }
 }
 
 TYPED_TEST(SatSimdDifferential, RegisterBlockedKernelsBitEqualChained1Row) {
-  // The 4-deep and 8-deep register-blocked sweeps must be bit-equal to
-  // chained simd_row_scan_acc calls — the SKSS-LB engine mixes all three
-  // inside one tile (simd_row_block's runtime depth heuristic), which is
-  // only exact if association order is identical across depths. Float is
-  // the interesting type here: any reassociation shows up as a bit flip.
+  // The 4-deep register-blocked sweep must be bit-equal to chained
+  // simd_row_scan_acc calls — the SKSS-LB engine mixes both inside one tile
+  // (4-row blocks, then a 1-row tail), which is only exact if association
+  // order is identical across depths. Float is the interesting type here:
+  // any reassociation shows up as a bit flip.
   using T = TypeParam;
   for (std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{32},
                         std::size_t{33}, std::size_t{255}, std::size_t{1024}}) {
     constexpr std::size_t kRows = 8;
-    sat::Matrix<T> src(kRows, n), ref(kRows, n), got4(kRows, n),
-        got8(kRows, n);
+    sat::Matrix<T> src(kRows, n), ref(kRows, n), got4(kRows, n);
     fill_random_integers<T>(src.view(), 29 * n + 3);
-    std::vector<T> acc_ref(n, T{}), acc4(n, T{}), acc8(n, T{});
-    T c_ref[kRows] = {}, c4[kRows] = {}, c8[kRows] = {};
+    std::vector<T> acc_ref(n, T{}), acc4(n, T{});
+    T c_ref[kRows] = {}, c4[kRows] = {};
 
     for (std::size_t r = 0; r < kRows; ++r)
       c_ref[r] = sathost::simd_row_scan_acc<T>(
@@ -151,41 +150,11 @@ TYPED_TEST(SatSimdDifferential, RegisterBlockedKernelsBitEqualChained1Row) {
     sathost::simd_row_scan_acc4<T>(src4b, acc4.data(), dst4b, n, c4 + 4,
                                    false);
 
-    const T* src8[8];
-    T* dst8[8];
-    for (std::size_t r = 0; r < kRows; ++r) {
-      src8[r] = &src(r, 0);
-      dst8[r] = &got8(r, 0);
-    }
-    sathost::simd_row_scan_acc8<T>(src8, acc8.data(), dst8, n, c8, false);
-
     expect_equal<T>(got4.view(), ref.view(), "acc4");
-    expect_equal<T>(got8.view(), ref.view(), "acc8");
-    for (std::size_t r = 0; r < kRows; ++r) {
+    for (std::size_t r = 0; r < kRows; ++r)
       ASSERT_EQ(c4[r], c_ref[r]) << "acc4 carry-out, row " << r;
-      ASSERT_EQ(c8[r], c_ref[r]) << "acc8 carry-out, row " << r;
-    }
-    for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t j = 0; j < n; ++j)
       ASSERT_EQ(acc4[j], acc_ref[j]) << "acc4 accumulator at " << j;
-      ASSERT_EQ(acc8[j], acc_ref[j]) << "acc8 accumulator at " << j;
-    }
-  }
-}
-
-TEST(SatSimdParity, RowBlockDepthHeuristic) {
-  if (sathost::kDeepRowsProfitable) {
-    // Wide register file: 8 KiB of row chunk is the depth-8 threshold
-    // (kDeepRowMinBytes).
-    EXPECT_EQ(sathost::simd_row_block<float>(2047), 4u);
-    EXPECT_EQ(sathost::simd_row_block<float>(2048), 8u);
-    EXPECT_EQ(sathost::simd_row_block<double>(1023), 4u);
-    EXPECT_EQ(sathost::simd_row_block<double>(1024), 8u);
-  } else {
-    // 16-register file (AVX2/SSE2/scalar): the deep sweep spills and loses
-    // at every chunk width, so the heuristic must never pick it.
-    EXPECT_EQ(sathost::simd_row_block<float>(2048), 4u);
-    EXPECT_EQ(sathost::simd_row_block<float>(std::size_t{1} << 24), 4u);
-    EXPECT_EQ(sathost::simd_row_block<double>(std::size_t{1} << 24), 4u);
   }
 }
 

@@ -1,6 +1,6 @@
-// Storage::kTiledResidual end to end: the TiledSat container and both host
-// encoders (fused single-threaded sat_residual, claim-range
-// sat_skss_lb_residual) against the sequential i64 oracle, the per-tile
+// Storage::kTiledResidual end to end: the TiledSat container and its host
+// encoder (claim-range sat_skss_lb_residual, on one and on several
+// workers) against the sequential i64 oracle, the per-tile
 // width selection and its wide overflow fallback, the range-extension
 // contract (tables whose dense form overflows T still reconstruct exactly),
 // the decompress-on-the-fly query kernel, the vision consumers on a
@@ -43,6 +43,16 @@ Matrix<std::int64_t> oracle_i64(const Matrix<T>& in) {
   return out;
 }
 
+/// Encodes `in` into `out` with the residual encoder on `workers` threads.
+template <class T>
+void encode(const Matrix<T>& in, TiledSat<T>& out, std::size_t workers = 1,
+            obs::Registry* reg = nullptr) {
+  sathost::ThreadPool pool(workers);
+  sathost::SkssLbOptions opt;
+  opt.metrics = reg;
+  sathost::sat_skss_lb_residual<T>(pool, in.view(), out, opt);
+}
+
 std::vector<Rect> random_rects(std::size_t rows, std::size_t cols,
                                std::size_t count, std::uint64_t seed) {
   satutil::Rng rng(seed);
@@ -57,33 +67,26 @@ std::vector<Rect> random_rects(std::size_t rows, std::size_t cols,
   return out;
 }
 
-// Both encoders, several shapes (square / rectangular / tile-clipped
-// edges), bit-exact against the i64 oracle at every cell and for
-// region_sum over random rectangles.
+// The encoder on 1 and on 3 workers, several shapes (square / rectangular
+// / tile-clipped edges), bit-exact against the i64 oracle at every cell and
+// for region_sum over random rectangles.
 TEST(TiledResidual, BothEncodersMatchI64Oracle) {
-  sathost::ThreadPool pool(3);
   const struct {
     std::size_t rows, cols, w;
   } shapes[] = {{64, 64, 32}, {96, 160, 32}, {70, 45, 32}, {128, 128, 64}};
   for (const auto& s : shapes) {
     const auto in = Matrix<std::int32_t>::random(s.rows, s.cols, 11, 0, 255);
     const auto oracle = oracle_i64(in);
-    TiledSat<std::int32_t> fused(s.rows, s.cols, s.w);
-    sathost::sat_residual<std::int32_t>(in.view(), fused);
-    TiledSat<std::int32_t> lb(s.rows, s.cols, s.w);
-    sathost::sat_skss_lb_residual<std::int32_t>(pool, in.view(), lb);
-    for (std::size_t i = 0; i < s.rows; ++i)
-      for (std::size_t j = 0; j < s.cols; ++j) {
-        ASSERT_EQ(fused.value(i, j), oracle(i, j))
-            << s.rows << "x" << s.cols << " w=" << s.w << " @" << i << ","
-            << j;
-        ASSERT_EQ(lb.value(i, j), oracle(i, j))
-            << s.rows << "x" << s.cols << " w=" << s.w << " @" << i << ","
-            << j;
-      }
-    for (const Rect& r : random_rects(s.rows, s.cols, 200, 5)) {
-      ASSERT_EQ(sat::region_sum(fused, r), sat::region_sum(oracle, r));
-      ASSERT_EQ(sat::region_sum(lb, r), sat::region_sum(oracle, r));
+    for (std::size_t workers : {std::size_t{1}, std::size_t{3}}) {
+      TiledSat<std::int32_t> t(s.rows, s.cols, s.w);
+      encode(in, t, workers);
+      for (std::size_t i = 0; i < s.rows; ++i)
+        for (std::size_t j = 0; j < s.cols; ++j)
+          ASSERT_EQ(t.value(i, j), oracle(i, j))
+              << s.rows << "x" << s.cols << " w=" << s.w << " workers="
+              << workers << " @" << i << "," << j;
+      for (const Rect& r : random_rects(s.rows, s.cols, 200, 5))
+        ASSERT_EQ(sat::region_sum(t, r), sat::region_sum(oracle, r));
     }
   }
 }
@@ -92,7 +95,7 @@ TEST(TiledResidual, DecodeIntoMatchesValueAndDenseEngine) {
   const std::size_t n = 96;
   const auto in = Matrix<std::int32_t>::random(n, n, 3, 0, 100);
   TiledSat<std::int32_t> tiled(n, n, 32);
-  sathost::sat_residual<std::int32_t>(in.view(), tiled);
+  encode(in, tiled);
   Matrix<std::int32_t> decoded(n, n);
   tiled.decode_into(decoded.view());
   Matrix<std::int32_t> dense(n, n);
@@ -113,7 +116,7 @@ TEST(TiledResidual, PicksNarrowestWidthPerTile) {
   {
     Matrix<std::int32_t> zeros(n, n);
     TiledSat<std::int32_t> t(n, n, w);
-    sathost::sat_residual<std::int32_t>(zeros.view(), t);
+    encode(zeros, t);
     for (std::size_t k = 0; k < t.tile_count(); ++k)
       EXPECT_EQ(t.enc(k), Enc::kU16);
     EXPECT_EQ(t.overflow_tiles(), 0u);
@@ -124,7 +127,7 @@ TEST(TiledResidual, PicksNarrowestWidthPerTile) {
     for (std::size_t i = 0; i < n; ++i)
       for (std::size_t j = 0; j < n; ++j) big(i, j) = 100;
     TiledSat<std::int32_t> t(n, n, w);
-    sathost::sat_residual<std::int32_t>(big.view(), t);
+    encode(big, t);
     for (std::size_t k = 0; k < t.tile_count(); ++k)
       EXPECT_EQ(t.enc(k), Enc::kU32);
     EXPECT_EQ(t.overflow_tiles(), 0u);
@@ -146,22 +149,17 @@ TEST(TiledResidual, HighDynamicRangeFallsBackToWideExactly) {
   Matrix<std::int64_t> dense(n, n);
   sathost::sat_sequential<std::int64_t>(in.view(), dense.view());
 
-  sathost::ThreadPool pool(2);
-  for (int engine = 0; engine < 2; ++engine) {
+  for (std::size_t workers : {std::size_t{1}, std::size_t{3}}) {
     TiledSat<std::int64_t> t(n, n, w);
-    if (engine == 0) {
-      sathost::sat_residual<std::int64_t>(in.view(), t);
-    } else {
-      sathost::sat_skss_lb_residual<std::int64_t>(pool, in.view(), t);
-    }
-    EXPECT_GT(t.overflow_tiles(), 0u) << "engine " << engine;
+    encode(in, t, workers);
+    EXPECT_GT(t.overflow_tiles(), 0u) << "workers " << workers;
     bool saw_wide = false;
     for (std::size_t k = 0; k < t.tile_count(); ++k)
       saw_wide |= t.enc(k) == Enc::kWide;
     EXPECT_TRUE(saw_wide);
     for (std::size_t i = 0; i < n; ++i)
       for (std::size_t j = 0; j < n; ++j)
-        ASSERT_EQ(t.value(i, j), dense(i, j)) << "engine " << engine;
+        ASSERT_EQ(t.value(i, j), dense(i, j)) << "workers " << workers;
   }
 }
 
@@ -179,7 +177,7 @@ TEST(TiledResidual, RepresentsTablesDenseTCannotHold) {
       << "input not extreme enough to prove the extension";
   // Tile-local SAT max = 64·64·65535 < 2^31: contract holds.
   TiledSat<std::int32_t> t(n, n, w);
-  sathost::sat_residual<std::int32_t>(in.view(), t);
+  encode(in, t);
   EXPECT_EQ(t.overflow_tiles(), 0u);
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = 0; j < n; ++j) ASSERT_EQ(t.value(i, j), oracle(i, j));
@@ -189,7 +187,7 @@ TEST(TiledResidual, FloatResidualsStayWithinF32Error) {
   const std::size_t n = 128, w = 32;
   const auto in = Matrix<double>::random(n, n, 23, 0.0, 1.0);
   TiledSat<double> t(n, n, w);
-  sathost::sat_residual<double>(in.view(), t);
+  encode(in, t);
   Matrix<double> dense(n, n);
   sathost::sat_sequential<double>(in.view(), dense.view());
   for (std::size_t i = 0; i < n; ++i)
@@ -205,7 +203,7 @@ TEST(TiledResidual, ResidualBytesUndercutDenseBytes) {
   const auto in = Matrix<std::int32_t>::random(n, n, 7, 0, 1);
   TiledSat<std::int32_t> t(n, n, w);
   obs::Registry reg;
-  sathost::sat_residual<std::int32_t>(in.view(), t, &reg);
+  encode(in, t, 1, &reg);
   // Binary input, W=128: every tile-local SAT ≤ 16384, all tiles u16 —
   // 2 bytes/element + bases. ≥ 40% under the 4-byte dense table.
   EXPECT_EQ(t.overflow_tiles(), 0u);
@@ -253,7 +251,7 @@ TEST(TiledResidual, QueryKernelMatchesDenseKernelBitExactly) {
   Matrix<std::int64_t> dense(n, n);
   sathost::sat_sequential<std::int64_t>(in.view(), dense.view());
   TiledSat<std::int64_t> tiled(n, n, w);
-  sathost::sat_residual<std::int64_t>(in.view(), tiled);
+  encode(in, tiled);
 
   gpusim::SimContext sim;
   gpusim::GlobalBuffer<std::int64_t> tab_buf(sim, n * n, "tab");
@@ -278,7 +276,7 @@ TEST(TiledResidual, QueryKernelTrafficReflectsNarrowResiduals) {
   const std::size_t n = 128, w = 32;
   const auto in = Matrix<std::int64_t>::random(n, n, 3, 0, 3);
   TiledSat<std::int64_t> tiled(n, n, w);
-  sathost::sat_residual<std::int64_t>(in.view(), tiled);
+  encode(in, tiled);
   using Enc = TiledSat<std::int64_t>::TileEnc;
   for (std::size_t k = 0; k < tiled.tile_count(); ++k)
     ASSERT_EQ(tiled.enc(k), Enc::kU16);
@@ -306,7 +304,7 @@ TEST(TiledResidual, HaarAndBoxFilterMatchDenseTables) {
   const auto img = Matrix<std::int32_t>::random(n, n, 31, 0, 255);
   Matrix<std::int64_t> dense = oracle_i64(img);
   TiledSat<std::int32_t> tiled(n, n, 32);
-  sathost::sat_residual<std::int32_t>(img.view(), tiled);
+  encode(img, tiled);
 
   const auto feat = satvision::haar_edge_horizontal(16, 24);
   for (std::size_t r = 0; r + 16 <= n; r += 13)

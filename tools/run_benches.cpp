@@ -18,11 +18,9 @@
 #include "core/matrix.hpp"
 #include "obs/registry.hpp"
 #include "host/sat_cpu.hpp"
-#include "host/sat_parallel.hpp"
 #include "host/sat_residual.hpp"
 #include "host/sat_simd.hpp"
 #include "host/sat_skss_lb.hpp"
-#include "host/sat_wavefront.hpp"
 #include "host/thread_pool.hpp"
 #include "model/table3.hpp"
 #include "tools/satd/client.hpp"
@@ -83,11 +81,6 @@ std::vector<Record> run_host_benches(bool smoke) {
     out.push_back(time_host("two_pass", n, smoke, [&] {
       sathost::sat_two_pass<float>(src, dst);
     }));
-    // tile=64: the default and the configuration the blocked-vs-sequential
-    // regression case below watches.
-    out.push_back(time_host("blocked", n, smoke, [&] {
-      sathost::sat_blocked<float>(src, dst, 64);
-    }));
     {
       // Instrumented rows: the ledger carries each run's metrics snapshot
       // (accumulated over all timed iterations) next to its timing.
@@ -95,22 +88,6 @@ std::vector<Record> run_host_benches(bool smoke) {
       out.push_back(time_host(
           "simd", n, smoke,
           [&] { sathost::sat_simd<float>(src, dst, 4096, &reg); }, &reg));
-    }
-    {
-      obs::Registry reg;
-      pool.set_obs(&reg, nullptr);
-      out.push_back(time_host(
-          "parallel", n, smoke,
-          [&] { sathost::sat_parallel<float>(pool, src, dst); }, &reg));
-      pool.set_obs(nullptr, nullptr);
-    }
-    {
-      obs::Registry reg;
-      pool.set_obs(&reg, nullptr);
-      out.push_back(time_host(
-          "wavefront", n, smoke,
-          [&] { sathost::sat_wavefront<float>(pool, src, dst, 128); }, &reg));
-      pool.set_obs(nullptr, nullptr);
     }
     // The paper's 1R1W-SKSS-LB on the host. The primary row runs the
     // engine's auto tile width (worker-count-scaled) and carries the
@@ -196,16 +173,14 @@ std::vector<Record> run_host_benches(bool smoke) {
       r.dtype = "i32";
       out.push_back(r);
     }
-    // skss_lb_kahan: the f32 engine with Kahan-compensated column
-    // accumulation — what the compensation costs on top of the plain row.
+    // kahan: the Storage::kKahanF32 producer (sat_kahan, the SIMD sweep
+    // with Kahan-compensated column accumulation) — what the compensation
+    // costs on top of the plain simd row.
     {
       obs::Registry reg;
-      sathost::SkssLbOptions opt;
-      opt.kahan = true;
-      opt.metrics = &reg;
       out.push_back(time_host(
-          "skss_lb_kahan", n, smoke,
-          [&] { sathost::sat_skss_lb<float>(pool, src, dst, opt); }, &reg));
+          "kahan", n, smoke,
+          [&] { sathost::sat_kahan<float>(src, dst, 4096, &reg); }, &reg));
     }
     // Batch-pipeline row: kBatch same-size images through one scheduler
     // call (sat_skss_lb_batch), so late tiles of image k overlap early

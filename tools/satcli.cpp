@@ -73,11 +73,8 @@ struct ObsRequest {
 sat::CpuEngine parse_host_impl(const std::string& name) {
   if (name == "sequential") return sat::CpuEngine::kSequential;
   if (name == "simd") return sat::CpuEngine::kSimd;
-  if (name == "parallel") return sat::CpuEngine::kParallel;
-  if (name == "wavefront") return sat::CpuEngine::kWavefront;
-  if (name == "skss_lb") return sat::CpuEngine::kSkssLb;
-  SAT_CHECK_MSG(false, "unknown host engine '" << name << "'");
-  return sat::CpuEngine::kParallel;
+  SAT_CHECK_MSG(name == "skss_lb", "unknown host engine '" << name << "'");
+  return sat::CpuEngine::kSkssLb;
 }
 
 sat::Storage parse_storage(const std::string& name) {
@@ -294,8 +291,8 @@ int main(int argc, char** argv) {
            "duplicate|2r2w|2r2w_opt|2r1w|1r1w|hybrid|skss|skss_lb")
       .add("w", "64", "tile width")
       .add("host-impl", "",
-           "run on the CPU backend with this engine: "
-           "sequential|simd|parallel|wavefront|skss_lb")
+           "run on the CPU backend with this dense engine: "
+           "sequential|simd|skss_lb (--storage residual|kahan ignore it)")
       .add("tile-width", "0",
            "host tile width W, 0 = engine default (with --host-impl)")
       .add("threads", "0",
