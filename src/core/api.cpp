@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "host/sat_cpu.hpp"
-#include "host/sat_residual.hpp"
 #include "host/sat_simd.hpp"
 #include "host/sat_skss_lb.hpp"
 #include "host/thread_pool.hpp"

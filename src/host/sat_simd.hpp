@@ -1,16 +1,18 @@
-// Vectorized host SAT engine built on satsimd::Vec (util/simd.hpp).
+// Vectorized host SAT kernels built on satsimd::Vec (util/simd.hpp).
 //
-// Three layers:
-//   - simd_row_scan / simd_row_scan_add: one matrix row as a sequence of
-//     in-register inclusive scans (log-step shift-add) chained by a
-//     broadcast carry — the register-level analog of §II Step 2.
-//   - simd_row_scan_acc / simd_row_scan_acc4: the fused row step, one or
-//     four rows per pass over an L1-resident column accumulator.
-//   - sat_simd: the paper's two passes fused into one streaming sweep. An
-//     L1-resident accumulator row is the column-carry vector, a broadcast
-//     register is the row-carry vector, src is prefetched ahead of the load
-//     cursor, and dst leaves through non-temporal stores — each element is
-//     loaded once and stored once, with no read-for-ownership traffic.
+// Two layers:
+//   - the fused row steps: simd_row_scan_acc / simd_row_scan_acc4 scan one
+//     or four rows per pass over an L1-resident column accumulator (the
+//     register-level analog of §II Step 2: in-register log-step scans
+//     chained by a broadcast carry); kahan_row_scan_acc is the compensated
+//     form for Storage::kKahanF32. The SKSS-LB engine (sat_skss_lb.hpp)
+//     runs its tiles through simd_row_scan_acc[4].
+//   - sat_simd / sat_kahan: the paper's two passes fused into one
+//     streaming sweep. An L1-resident accumulator row is the column-carry
+//     vector, a broadcast register is the row-carry vector, src is
+//     prefetched ahead of the load cursor, and dst leaves through
+//     non-temporal stores — each element is loaded once and stored once,
+//     with no read-for-ownership traffic.
 #pragma once
 
 #include <algorithm>
@@ -24,59 +26,6 @@
 #include "util/span2d.hpp"
 
 namespace sathost {
-
-/// Inclusive scan of `n` elements of `src` into `dst`, seeded with `carry`;
-/// returns the final running sum. In-place (src == dst) is allowed.
-///
-/// The carry is kept as a broadcast vector and advanced with
-/// sum_broadcast(x), which depends only on the loaded input — the log-step
-/// scan, carry add, and store all hang off the chain instead of feeding it,
-/// so the loop-carried dependency is a single vector add per V::width
-/// elements.
-template <class T>
-T simd_row_scan(const T* src, T* dst, std::size_t n, T carry = T{}) {
-  using V = satsimd::Vec<T>;
-  std::size_t j = 0;
-  if (n >= V::width) {
-    V vcarry = V::broadcast(carry);
-    for (; j + V::width <= n; j += V::width) {
-      const V x = V::load(src + j);
-      (x.inclusive_scan() + vcarry).store(dst + j);
-      vcarry += x.sum_broadcast();
-    }
-    carry = vcarry.last();
-  }
-  for (; j < n; ++j) {
-    carry += src[j];
-    dst[j] = carry;
-  }
-  return carry;
-}
-
-/// Fused single-pass row step: dst[j] = (carry-seeded scan of src)[j] +
-/// prev[j] — the recurrence b(i,·) = rowprefix(i,·) + b(i−1,·). Returns the
-/// row's carry-out (prefix over src only). `dst` must not overlap `src` or
-/// `prev`.
-template <class T>
-T simd_row_scan_add(const T* src, const T* prev, T* dst, std::size_t n,
-                    T carry = T{}) {
-  using V = satsimd::Vec<T>;
-  std::size_t j = 0;
-  if (n >= V::width) {
-    V vcarry = V::broadcast(carry);
-    for (; j + V::width <= n; j += V::width) {
-      const V x = V::load(src + j);
-      (x.inclusive_scan() + vcarry + V::load(prev + j)).store(dst + j);
-      vcarry += x.sum_broadcast();
-    }
-    carry = vcarry.last();
-  }
-  for (; j < n; ++j) {
-    carry += src[j];
-    dst[j] = carry + prev[j];
-  }
-  return carry;
-}
 
 /// Bytes of lookahead for the software prefetch in the streaming kernel.
 /// Tuned on a Xeon with ~10 GB/s single-core demand-read bandwidth: 4 KiB

@@ -34,7 +34,7 @@
 // Layout: residual planes are indexed tile-contiguously,
 // `tile*W² + p*W + q`, so every tile slot and every row inside it is
 // 64-byte aligned whenever W is a multiple of 32 — the non-temporal store
-// path in the encoders requires never mixing streamed and regular stores in
+// path in the encoder requires never mixing streamed and regular stores in
 // one cache line. Planes are allocated default-initialized and oversized
 // (one slot per tile for each width); untouched pages are never faulted in,
 // so the three widths coexist at the cost of address space, not RSS.
@@ -60,15 +60,6 @@ enum class Storage : std::uint8_t {
   kTiledResidual = 1,  ///< per-tile wide bases + narrow local residuals
   kKahanF32 = 2,       ///< f32 table, Kahan-compensated column accumulation
 };
-
-[[nodiscard]] constexpr const char* storage_name(Storage s) {
-  switch (s) {
-    case Storage::kDense: return "dense";
-    case Storage::kTiledResidual: return "residual";
-    case Storage::kKahanF32: return "kahan";
-  }
-  return "?";
-}
 
 namespace detail {
 
@@ -201,46 +192,21 @@ class TiledSat {
 
   // ---- encoder side ------------------------------------------------------
   // Each tile's slots are disjoint; distinct tiles may be encoded from
-  // distinct threads without synchronization (the SKSS-LB batch encoder
-  // does exactly that).
-
-  [[nodiscard]] Wide* row_base(std::size_t tile) {
-    return row_base_.get() + tile * w_;
-  }
-  [[nodiscard]] Wide* col_base(std::size_t tile) {
-    return col_base_.get() + tile * w_;
-  }
-  [[nodiscard]] const Wide* row_base(std::size_t tile) const {
-    return row_base_.get() + tile * w_;
-  }
-  [[nodiscard]] const Wide* col_base(std::size_t tile) const {
-    return col_base_.get() + tile * w_;
-  }
+  // distinct threads without synchronization (the SKSS-LB engine does
+  // exactly that).
 
   /// Encode one tile from its local SAT `tilebuf` (tp×tq values, leading
   /// dimension `ld`) and its two wide base vectors:
   ///   row_band[p] = RowBand(p), col_band[q] = ColBand(q)  (see file header).
-  /// Chooses the narrowest residual width that holds the tile's value range,
-  /// folds the bias into the stored row base, and — when `allow_stream` and
-  /// the geometry permits — writes u16 residuals with non-temporal stores
-  /// (a store fence is issued before returning, so cross-thread readers only
+  /// [mn, mx] is the tile's value range, which the engine tracks during
+  /// staging (detail::update_range on each row while it is L1-hot) so the
+  /// encoder needs no second sweep over a by-then cold tile; it must cover
+  /// every tilebuf value — a too-narrow range corrupts the residuals.
+  /// Chooses the narrowest residual width that holds the range, folds the
+  /// bias into the stored row base, and — when `allow_stream` and the
+  /// geometry permits — writes u16 residuals with non-temporal stores (a
+  /// store fence is issued before returning, so cross-thread readers only
   /// need the usual release/acquire handoff).
-  void encode_tile(std::size_t tile, const T* tilebuf, std::size_t ld,
-                   std::size_t tp, std::size_t tq, const Wide* row_band,
-                   const Wide* col_band, bool allow_stream = false) {
-    T mn = tilebuf[0];
-    T mx = tilebuf[0];
-    for (std::size_t p = 0; p < tp; ++p)
-      detail::update_range(tilebuf + p * ld, tq, mn, mx);
-    encode_tile(tile, tilebuf, ld, tp, tq, row_band, col_band, mn, mx,
-                allow_stream);
-  }
-
-  /// encode_tile with the tile's value range already known. The fused
-  /// engines track [mn, mx] during staging (detail::update_range on each
-  /// row while it is L1-hot), turning the encoder's own sweep — a second
-  /// full pass over a by-then cold tile — into a no-op. The range must
-  /// cover every tilebuf value; a too-narrow range corrupts the residuals.
   void encode_tile(std::size_t tile, const T* tilebuf, std::size_t ld,
                    std::size_t tp, std::size_t tq, const Wide* row_band,
                    const Wide* col_band, T mn, T mx,

@@ -12,7 +12,7 @@
 
 #include "core/matrix.hpp"
 #include "core/region.hpp"
-#include "host/sat_residual.hpp"
+#include "host/sat_skss_lb.hpp"
 #include "host/thread_pool.hpp"
 #include "sat/storage.hpp"
 #include "util/check.hpp"

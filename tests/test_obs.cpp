@@ -47,8 +47,9 @@ TEST(Buckets, LowerUpperConsistent) {
     EXPECT_LE(obs::bucket_lower(b), obs::bucket_upper(b)) << "bucket " << b;
     EXPECT_EQ(obs::bucket_of(obs::bucket_lower(b)), b);
     EXPECT_EQ(obs::bucket_of(obs::bucket_upper(b)), b);
-    if (b + 1 < obs::kHistBuckets)
+    if (b + 1 < obs::kHistBuckets) {
       EXPECT_EQ(obs::bucket_upper(b) + 1, obs::bucket_lower(b + 1));
+    }
   }
 }
 
@@ -458,9 +459,9 @@ TEST(GoldenTrace, SkssLbRunRoundTrips) {
     for (const Span& s : spans) {
       if (s.cat == "block") continue;
       bool nested = false;
-      for (const Span& b : spans) {
-        if (b.cat != "block") continue;
-        if (b.ts - kEps <= s.ts && s.ts + s.dur <= b.ts + b.dur + kEps) {
+      for (const Span& blk : spans) {
+        if (blk.cat != "block") continue;
+        if (blk.ts - kEps <= s.ts && s.ts + s.dur <= blk.ts + blk.dur + kEps) {
           nested = true;
           break;
         }

@@ -8,7 +8,7 @@
 #include "core/api.hpp"
 #include "gpusim/gpusim.hpp"
 #include "host/sat_cpu.hpp"
-#include "host/sat_residual.hpp"
+#include "host/sat_skss_lb.hpp"
 #include "host/thread_pool.hpp"
 #include "sat/query_kernel.hpp"
 #include "util/pgm.hpp"

@@ -15,7 +15,6 @@
 #include "core/api.hpp"
 #include "core/matrix.hpp"
 #include "host/sat_cpu.hpp"
-#include "host/sat_residual.hpp"
 #include "host/sat_skss_lb.hpp"
 #include "host/thread_pool.hpp"
 #include "obs/registry.hpp"

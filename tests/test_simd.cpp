@@ -77,8 +77,10 @@ TYPED_TEST(SimdVec, InclusiveScanMatchesStdInclusiveScan) {
 }
 
 TYPED_TEST(SimdVec, RowScanMatchesStdInclusiveScanAllLengths) {
-  // Property test over every remainder case around the vector width,
-  // including a carry seed and in-place operation.
+  // Property test over every remainder case around the vector width, with
+  // a carry seed, through the engine's fused row step: a zeroed
+  // accumulator row reduces it to a plain inclusive scan, and the
+  // accumulator must come back holding the output row.
   for (std::size_t n : {0ul, 1ul, 2ul, 3ul, 5ul, 7ul, 8ul, 9ul, 15ul, 16ul,
                         17ul, 31ul, 33ul, 100ul, 257ul}) {
     const auto in =
@@ -86,10 +88,12 @@ TYPED_TEST(SimdVec, RowScanMatchesStdInclusiveScanAllLengths) {
     std::vector<TypeParam> expect(n);
     std::inclusive_scan(in.begin(), in.end(), expect.begin(),
                         std::plus<>{}, TypeParam{7});
-    std::vector<TypeParam> got = in;
-    const TypeParam carry =
-        sathost::simd_row_scan(got.data(), got.data(), n, TypeParam{7});
+    std::vector<TypeParam> got(n), acc(n, TypeParam{});
+    const TypeParam carry = sathost::simd_row_scan_acc(
+        in.data(), acc.data(), got.data(), n, TypeParam{7});
+    satsimd::store_fence();
     EXPECT_EQ(got, expect) << "n=" << n;
+    EXPECT_EQ(acc, expect) << "n=" << n;
     EXPECT_EQ(carry, n == 0 ? TypeParam{7} : expect.back()) << "n=" << n;
   }
 }
@@ -102,22 +106,6 @@ TEST(SimdBackend, ReportsAName) {
 #else
   EXPECT_FALSE(satsimd::kVectorized);
 #endif
-}
-
-TEST(SimdRowScanAdd, FusesScanAndVerticalAdd) {
-  const std::size_t n = 41;
-  const auto src = random_values<std::int32_t>(n, 7, 0, 50);
-  const auto prev = random_values<std::int32_t>(n, 8, 0, 50);
-  std::vector<std::int32_t> got(n), expect(n);
-  std::int32_t run = 5;
-  for (std::size_t j = 0; j < n; ++j) {
-    run += src[j];
-    expect[j] = run + prev[j];
-  }
-  const std::int32_t carry =
-      sathost::simd_row_scan_add(src.data(), prev.data(), got.data(), n, 5);
-  EXPECT_EQ(got, expect);
-  EXPECT_EQ(carry, run);
 }
 
 }  // namespace

@@ -18,7 +18,6 @@
 #include "core/matrix.hpp"
 #include "obs/registry.hpp"
 #include "host/sat_cpu.hpp"
-#include "host/sat_residual.hpp"
 #include "host/sat_simd.hpp"
 #include "host/sat_skss_lb.hpp"
 #include "host/thread_pool.hpp"

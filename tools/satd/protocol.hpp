@@ -73,15 +73,16 @@ enum class Dtype : std::uint16_t {
 /// selects how the SERVER computes the table; RESULT matrices are always
 /// dense row-major regardless (storage byte 0 in replies), so clients need
 /// no decompressor. kKahan is only meaningful for f32 jobs — the parser
-/// rejects it for integer dtypes.
+/// rejects it for integer dtypes. Value 1 (tiled residual) is retired: the
+/// reply is dense either way, so it only added an encode and a decode.
 enum class WireStorage : std::uint8_t {
-  kDense = 0,     ///< dense output (the default; the pre-v1.1 behavior)
-  kResidual = 1,  ///< tiled base+residual compute, decoded into the reply
-  kKahan = 2,     ///< f32 Kahan-compensated column scans
+  kDense = 0,  ///< dense output (the default; the pre-v1.1 behavior)
+  kKahan = 2,  ///< f32 Kahan-compensated column scans
 };
 
 [[nodiscard]] inline bool storage_valid(std::uint8_t raw) {
-  return raw <= static_cast<std::uint8_t>(WireStorage::kKahan);
+  return raw == static_cast<std::uint8_t>(WireStorage::kDense) ||
+         raw == static_cast<std::uint8_t>(WireStorage::kKahan);
 }
 
 /// ERROR payload codes (docs/satd.md "Error and backpressure codes").

@@ -365,9 +365,6 @@ void Server::run_batch_typed(std::vector<Job>& batch) {
     opt.cpu_tile_w = opts_.tile_w;
     switch (batch.front().storage) {
       case WireStorage::kDense: break;
-      case WireStorage::kResidual:
-        opt.storage = sat::Storage::kTiledResidual;
-        break;
       case WireStorage::kKahan:
         opt.storage = sat::Storage::kKahanF32;
         break;
@@ -389,8 +386,10 @@ void Server::run_batch_typed(std::vector<Job>& batch) {
     if (failure.empty()) {
       const auto payload = encode_matrix_payload(
           rows, cols, job.dtype, results[b].data());
-      send_bytes(job.conn, encode_frame(Type::kResult, job.trace_id, payload));
+      // Counted before the send, so a client holding its reply also sees
+      // it in satd.responses_total (send_bytes reports no failure anyway).
       m_responses_->add();
+      send_bytes(job.conn, encode_frame(Type::kResult, job.trace_id, payload));
     } else {
       send_error(job.conn, job.trace_id, ErrorCode::kInternal, failure);
     }

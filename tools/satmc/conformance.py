@@ -22,6 +22,11 @@ exactly the fact the model declares (`satmc --dump-model`):
     satlint allow directive (with rationale) are exempt, exactly as satlint
     itself treats them.
 
+It also checks that sat_skss_lb.hpp is the protocol's only host
+implementation: no other file under src/host/ may contain a flag publish or
+a look-back walk, so every output the engine produces runs the code that the
+facts above (and the explorer, TSan and satlint) check.
+
 Usage:
     conformance.py --root DIR --satmc PATH/TO/satmc [--lookback FILE]
                    [--expect-drift]
@@ -287,6 +292,21 @@ def main() -> int:
     conf.expect("claim cursor name",
                 "work_counter_" if "work_counter_" in lookback_text
                 else "absent", dump["claim"]["cursor"])
+
+    # 7. One implementation: every other host source is free of flag
+    # publishes and look-back walks, so no output runs an unchecked copy.
+    print(f"[one implementation] {skss_path.parent}")
+    copies: dict[str, dict[str, int]] = {}
+    for path in sorted(skss_path.parent.rglob("*")):
+        if path.suffix not in (".hpp", ".cpp") or path == skss_path:
+            continue
+        text = "\n".join(load_source(path, root).code)
+        found = {"publishes": len(PUBLISH_CALL.findall(text)),
+                 "walks": len(WALK_CALL.findall(text))}
+        if any(found.values()):
+            copies[path.relative_to(root).as_posix()] = found
+    conf.expect("other src/host/ files with flag publishes or walks",
+                copies, {})
 
     print(f"conformance: {conf.checked} facts checked, "
           f"{len(conf.errors)} mismatches")
