@@ -78,6 +78,9 @@ bool write_json(const std::string& path, const std::vector<Record>& results,
                  "\"melem_per_s\": %.2f, \"ns_per_elem\": %.4f",
                  r.name.c_str(), r.impl.c_str(), r.dtype.c_str(), r.n,
                  r.iterations, r.wall_ms, r.melem_per_s(), r.ns_per_elem());
+    if (r.overhead_vs_copy_pct)
+      std::fprintf(f, ", \"overhead_vs_copy_pct\": %.1f",
+                   *r.overhead_vs_copy_pct);
     if (!r.metrics_json.empty())
       std::fprintf(f, ", \"metrics\": %s", r.metrics_json.c_str());
     std::fprintf(f, "}%s\n", k + 1 < results.size() ? "," : "");

@@ -10,13 +10,17 @@
 //     "smoke": true | false,
 //     "results": [ { "name", "impl", "dtype", "n", "iterations",
 //                    "wall_ms", "melem_per_s", "ns_per_elem",
+//                    "overhead_vs_copy_pct"  (optional),
 //                    "metrics": {...}  (optional, v2) }, ... ]
 //   }
 // v2 adds the optional per-row "metrics" object: an obs::Snapshot::to_json()
 // of the run's metric registry, accumulated over all timed iterations.
+// "overhead_vs_copy_pct" is the row's wall time over a plain copy of the
+// same bytes on the same machine, in percent (the paper's yardstick).
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -37,6 +41,8 @@ struct Record {
   /// Serialized obs::Snapshot::to_json() of the run's metrics registry,
   /// covering every timed iteration. Empty ⇒ the "metrics" field is omitted.
   std::string metrics_json;
+  /// 100 · (wall_ms / copy floor − 1); unset ⇒ the field is omitted.
+  std::optional<double> overhead_vs_copy_pct;
   [[nodiscard]] double melem_per_s() const;
   [[nodiscard]] double ns_per_elem() const;
 };

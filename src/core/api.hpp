@@ -178,8 +178,8 @@ BatchResult<T> compute_sat_batch(const std::vector<Matrix<T>>& inputs,
 /// no per-request thread creation either. CPU backend only (the simulated
 /// device owns its buffers; Options::backend must be kCpu). The SKSS-LB
 /// engine and the residual encoder run the whole batch through ONE
-/// claim-range scheduler pass, so tiles of image k+1 pipeline behind the
-/// draining tail of image k (sathost::sat_skss_lb_batch); the other
+/// engine pass (one claim counter), so tiles of image k+1 pipeline behind
+/// the draining tail of image k (sathost::sat_skss_lb_batch); the other
 /// producers run image-at-a-time. All inputs must share one shape; each
 /// outputs[b] must match it and not alias inputs[b].
 template <class T>

@@ -22,7 +22,6 @@
 // enforces it directly.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -86,24 +85,18 @@ inline constexpr std::uint8_t kGcs = 2;  ///< GCS(I,J) published
 struct LookbackObs {
   obs::Counter* tiles_retired = nullptr;
   obs::Counter* fastpath_tiles = nullptr;
-  obs::Counter* steals = nullptr;
-  obs::Counter* stolen_tiles = nullptr;
   obs::Counter* overlap_tiles = nullptr;
   obs::Histogram* depth = nullptr;
   obs::Histogram* flag_wait_us = nullptr;
-  obs::Histogram* range_tiles = nullptr;
 
   void resolve(obs::Registry* reg) {
 #if SATLIB_OBS_ENABLED
     if (reg == nullptr) return;
     tiles_retired = &reg->counter("host.lookback.tiles_retired");
     fastpath_tiles = &reg->counter("host.lookback.fastpath_tiles");
-    steals = &reg->counter("host.lookback.steals");
-    stolen_tiles = &reg->counter("host.lookback.stolen_tiles");
     overlap_tiles = &reg->counter("host.lookback.overlap_tiles");
     depth = &reg->histogram("host.lookback.depth");
     flag_wait_us = &reg->histogram("host.lookback.flag_wait_us");
-    range_tiles = &reg->histogram("host.lookback.range_tiles");
 #else
     (void)reg;
 #endif
@@ -178,163 +171,6 @@ class StatusFlags {
 
  private:
   std::unique_ptr<std::atomic<std::uint8_t>[]> flags_;
-};
-
-/// Per-worker diagonal-major claim ranges with chunked work-stealing.
-///
-/// Replaces the engine's single global claim counter: each worker draws a
-/// contiguous block of serials [base, base+chunk) off the shared cursor
-/// with one fetch_add, then pops that range front-to-back with a CAS on its
-/// own cache line (uncontended until a thief arrives). When a worker's
-/// range drains and the cursor is exhausted, it steals the *tail half* of a
-/// peer's remaining range with one CAS on the victim's span — so a worker
-/// parked in a long look-back wait cannot strand the serials queued behind
-/// its current tile.
-///
-/// Deadlock freedom (the finite-pool induction of docs/host_engine.md §3
-/// survives): ranges are handed out only to already-running workers, every
-/// (sub-)range is consumed in increasing serial order, and pops, refills
-/// and steals never block. The globally smallest unfinished serial is
-/// therefore either (a) the current tile of the worker owning its range —
-/// all of whose look-back dependencies carry smaller serials and are thus
-/// finished, so that worker progresses — or (b) beyond every claimed
-/// range, in which case some running worker reaches the claim loop (claim
-/// code never blocks) and draws it from the cursor.
-///
-/// Memory ordering: every span and cursor access is relaxed. A serial is a
-/// pure work token — all data a tile reads is guarded by the R/C status
-/// flags' release/acquire pairs (StatusFlags), never by range ownership,
-/// and an atomic RMW operates on the latest value regardless of order.
-class ClaimScheduler {
- public:
-  /// Returned by next() when every serial in [0, total) is claimed.
-  static constexpr std::size_t kNone = ~std::size_t{0};
-
-  ClaimScheduler(std::size_t total, std::size_t nworkers)
-      : total_(total),
-        nworkers_(nworkers == 0 ? 1 : nworkers),
-        chunk_(range_chunk(total, nworkers_)),
-        spans_(std::make_unique<Span[]>(nworkers_)) {
-    SAT_DCHECK(total < (std::size_t{1} << 32));
-  }
-
-  /// Serials per cursor draw: two ranges per worker, so the schedule tail
-  /// is balanced by at-most-half-range steals while a 1-worker run still
-  /// claims the whole grid in two RMWs.
-  [[nodiscard]] static std::size_t range_chunk(std::size_t total,
-                                               std::size_t nworkers) {
-    const std::size_t slices = 2 * std::max<std::size_t>(1, nworkers);
-    return std::max<std::size_t>(1, (total + slices - 1) / slices);
-  }
-
-  [[nodiscard]] std::size_t chunk() const noexcept { return chunk_; }
-
-  /// The next serial `worker` should process, or kNone when the grid is
-  /// fully claimed. Never blocks.
-  std::size_t next(std::size_t worker, const LookbackObs& obs) noexcept {
-    SAT_DCHECK(worker < nworkers_);
-    for (;;) {
-      // One hook per claim round: a pop, refill, or steal scan is a single
-      // scheduling point. The explorer serializes rounds, so every CAS
-      // below runs uncontended within its round and schedules replay
-      // deterministically.
-      if (testhook::g_sched_hook != nullptr)
-        testhook::g_sched_hook->on_claim();
-      const std::size_t serial = pop(worker);
-      if (serial != kNone) return serial;
-      if (refill(worker, obs)) continue;
-      if (!steal(worker, obs)) return kNone;
-    }
-  }
-
- private:
-  struct alignas(64) Span {
-    /// `next` in the low 32 bits, `end` in the high 32: one CAS moves both
-    /// bounds, so an owner pop and a peer steal can never tear the range.
-    std::atomic<std::uint64_t> range{0};
-  };
-
-  static constexpr std::uint64_t pack(std::uint64_t next,
-                                      std::uint64_t end) noexcept {
-    return next | (end << 32);
-  }
-  static constexpr std::uint32_t lo(std::uint64_t v) noexcept {
-    return static_cast<std::uint32_t>(v & 0xFFFFFFFFu);
-  }
-  static constexpr std::uint32_t hi(std::uint64_t v) noexcept {
-    return static_cast<std::uint32_t>(v >> 32);
-  }
-
-  std::size_t pop(std::size_t worker) noexcept {
-    auto& r = spans_[worker].range;
-    std::uint64_t cur = r.load(std::memory_order_relaxed);
-    for (;;) {
-      const std::uint32_t next = lo(cur);
-      const std::uint32_t end = hi(cur);
-      if (next >= end) return kNone;
-      if (r.compare_exchange_weak(cur, pack(next + 1, end),
-                                  std::memory_order_relaxed,
-                                  std::memory_order_relaxed))
-        return next;
-    }
-  }
-
-  bool refill(std::size_t worker, const LookbackObs& obs) noexcept {
-    if (work_counter_.load(std::memory_order_relaxed) >= total_) return false;
-    const std::size_t base =
-        work_counter_.fetch_add(chunk_, std::memory_order_relaxed);
-    if (base >= total_) return false;
-    const std::size_t take = std::min(chunk_, total_ - base);
-    // Only the owner installs into its own *empty* span and thieves skip
-    // empty spans, so this plain store cannot overwrite a concurrent steal.
-    spans_[worker].range.store(pack(base, base + take),
-                               std::memory_order_relaxed);
-#if SATLIB_OBS_ENABLED
-    if (obs.range_tiles != nullptr) obs.range_tiles->record(take);
-#else
-    (void)obs;
-#endif
-    return true;
-  }
-
-  bool steal(std::size_t thief, const LookbackObs& obs) noexcept {
-    for (std::size_t k = 1; k < nworkers_; ++k) {
-      const std::size_t victim = (thief + k) % nworkers_;
-      auto& r = spans_[victim].range;
-      std::uint64_t cur = r.load(std::memory_order_relaxed);
-      for (;;) {
-        const std::uint32_t next = lo(cur);
-        const std::uint32_t end = hi(cur);
-        if (next >= end) break;  // empty; try the next peer
-        // Take the tail half (rounded up): the victim keeps the serials
-        // nearest its current tile, both sub-ranges stay in increasing
-        // serial order, and a 1-serial remainder transfers whole.
-        const std::uint32_t mid = next + (end - next) / 2;
-        if (r.compare_exchange_weak(cur, pack(next, mid),
-                                    std::memory_order_relaxed,
-                                    std::memory_order_relaxed)) {
-          spans_[thief].range.store(pack(mid, end),
-                                    std::memory_order_relaxed);
-#if SATLIB_OBS_ENABLED
-          if (obs.steals != nullptr) obs.steals->add(1);
-          if (obs.stolen_tiles != nullptr) obs.stolen_tiles->add(end - mid);
-#else
-          (void)obs;
-#endif
-          return true;
-        }
-      }
-    }
-    return false;
-  }
-
-  std::size_t total_;
-  std::size_t nworkers_;
-  std::size_t chunk_;
-  std::unique_ptr<Span[]> spans_;
-  /// Shared range cursor — the successor of PR 4's per-tile claim counter;
-  /// the name is part of the satmc conformance contract (claim order).
-  std::atomic<std::size_t> work_counter_{0};
 };
 
 /// The per-tile published quantities of Table II, host layout: one length-W

@@ -146,7 +146,10 @@ T kahan_row_scan_acc(const T* src, T* acc, T* comp, T* dst, std::size_t n,
 /// `carries[0..3]` are the per-row carry-ins and receive the carry-outs.
 /// Streaming applies only when every dst row shares vector alignment
 /// (stride a multiple of the vector width); same WC-line rule as the 1-row
-/// kernel.
+/// kernel. Unlike the 1-row kernel it has no software prefetch: the
+/// SKSS-LB engine sweeps tiles as short as 1–2 KiB per row, where a fixed
+/// lookahead lands on lines of a tile two or more to the right, and the
+/// hardware prefetchers follow the four row streams on their own.
 template <class T>
 void simd_row_scan_acc4(const T* const src[4], T* acc, T* const dst[4],
                         std::size_t n, T carries[4],
@@ -164,10 +167,6 @@ void simd_row_scan_acc4(const T* const src[4], T* acc, T* const dst[4],
             0;
     auto loop = [&](auto streamed) {
       for (; j + V::width <= n; j += V::width) {
-        satsimd::prefetch(reinterpret_cast<const char*>(src[0] + j) +
-                          kPrefetchAheadBytes);
-        satsimd::prefetch(reinterpret_cast<const char*>(src[3] + j) +
-                          kPrefetchAheadBytes);
         const V x0 = V::load(src[0] + j), x1 = V::load(src[1] + j);
         const V x2 = V::load(src[2] + j), x3 = V::load(src[3] + j);
         const V o0 = x0.inclusive_scan() + v0 + V::load(acc + j);

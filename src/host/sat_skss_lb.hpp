@@ -13,24 +13,23 @@
 // walking per-tile status flags (LOCAL → GLOBAL publication, lookback.hpp)
 // instead of a barrier between passes.
 //
-// Scheduling: serials are handed out as per-worker contiguous claim ranges
-// drawn off a shared cursor, popped front-to-back, with tail-half work
-// stealing once the cursor drains (ClaimScheduler in lookback.hpp). This
-// keeps the paper's increasing-serial discipline per (sub-)range — which is
-// what the deadlock-freedom induction below needs — while claims touch a
-// worker-private cache line instead of storming one global counter.
+// Scheduling: the paper's self-assignment, verbatim. Every worker claims
+// its next tile with one relaxed fetch_add(1) on a shared work counter, so
+// the tiles in flight at any moment are consecutive serials. A tile's left,
+// top and diagonal predecessors sit a whole anti-diagonal or more behind
+// it, so once a diagonal is longer than the worker count they are usually
+// published by the time it is claimed — which keeps the fast path below hot.
 //
 // Deadlock-freedom with a finite thread pool: every look-back dependency of
-// T(I,J) points to a tile with a strictly smaller serial. Ranges are drawn
-// only by running workers and each (sub-)range is consumed in increasing
-// serial order, so the worker owning the globally smallest unfinished
-// serial is currently at that serial — all its dependencies are finished
-// and it never waits; if the smallest unfinished serial is beyond every
-// claimed range, claim code (which never blocks) hands it to some running
-// worker. Workers never block on anything *pool*-related while holding a
-// tile (run_persistent keeps them off the pool mutex). Induction gives
-// progress for any worker count ≥ 1, including oversubscribed and
-// single-core machines (waiters yield the timeslice; see util/backoff.hpp).
+// T(I,J) points to a tile with a strictly smaller serial, and serials are
+// claimed in increasing order, so a dependency is always claimed before its
+// dependent. Workers never block on anything *pool*-related while holding a
+// tile (run_persistent keeps them off the pool mutex); a flag wait can only
+// point at a tile some running worker has already claimed, and the claimant
+// of the smallest unfinished serial never waits at all — its dependencies
+// are all finished. Induction gives progress for any worker count ≥ 1,
+// including oversubscribed and single-core machines (waiters yield the
+// timeslice; see util/backoff.hpp).
 //
 // Batch pipelining: sat_skss_lb_batch runs B same-shaped images through one
 // serial space of B·tiles serials. Tiles of different images share no data,
@@ -68,12 +67,13 @@
 //     what the output saves is the write traffic (u16 residuals stream 2–4×
 //     fewer bytes than the dense table). With a registry it publishes
 //     host.storage.{residual_bytes,dense_bytes,overflow_tiles}.
-// Claim discipline, flag semantics and the deadlock argument above are
+// The claim counter, flag semantics and the deadlock argument above are
 // shared; the outputs differ only in the fast path (dense only), the range
 // tracking (tiled only) and step 4.
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -98,21 +98,16 @@ namespace sathost {
 struct SkssLbOptions {
   /// Tile width W (tiles are W×W, clipped at the matrix edges). Any
   /// positive value is accepted — the host has no warp-multiple constraint.
-  /// 0 picks W automatically: ~one tile column per worker, never below 128,
-  /// capped so a W-element accumulator row fits L1 (16 KiB: 4096 for f32).
-  /// Unlike a GPU with thousands of blocks in flight, the host only needs
-  /// enough tiles to feed its few workers, and bigger tiles keep each
-  /// worker's sweep on long contiguous runs of src/dst (with one worker on
-  /// a ≤4096² f32 matrix the auto choice degenerates to a single tile — the
-  /// whole matrix in one fused sweep, the 1R1W limit case).
+  /// 0 picks W with auto_tile_w<T> (below), giving each image of a batch
+  /// its share of the workers.
   std::size_t tile_w = 0;
   /// Worker threads acting as blocks; 0 = every thread of the pool. May
   /// exceed the pool size (extra workers queue; see ThreadPool::
   /// run_persistent) — correctness never depends on the count.
   std::size_t workers = 0;
   /// Optional observability (not owned): host.lookback.{depth,flag_wait_us,
-  /// tiles_retired,fastpath_tiles,steals,stolen_tiles,overlap_tiles,
-  /// range_tiles} metrics and one trace span per tile.
+  /// tiles_retired,fastpath_tiles,overlap_tiles} metrics and one trace span
+  /// per tile.
   obs::Registry* metrics = nullptr;
   obs::TraceSink* trace = nullptr;
   /// Test hook, called right after a worker claims each tile serial (used
@@ -121,6 +116,47 @@ struct SkssLbOptions {
   /// Leave empty in production.
   std::function<void(std::size_t serial)> tile_hook;
 };
+
+/// Budget for one W² slow-path staging tile: small enough to stay
+/// L2-resident, and the most a thread keeps across engine calls
+/// (detail::TileArena::tile).
+inline constexpr std::size_t kStagingTileBytes = std::size_t{1} << 20;
+
+/// The tile width SkssLbOptions::tile_w = 0 picks for a rows×cols image of
+/// T on `workers` workers: about one tile column per worker,
+/// W = max(128, ceil(maxdim / workers)), then capped.
+///
+///   - L1 cap, always: one W-element accumulator row must stay L1-resident
+///     (16 KiB ⇒ W ≤ 4096 for a 4-byte T). The fast path carries the column
+///     prefix through it on every sweep; past ~16 KiB it thrashed (30%
+///     slower at 8192² f32 with a 32 KiB row than with two 4096-wide tile
+///     columns). One worker gets only this cap: it has no wavefront to
+///     fill, every dense tile takes the fast path, and bigger tiles keep
+///     its sweep on long contiguous runs (at ≤4096² f32 the whole matrix is
+///     one tile, the 1R1W limit case).
+///   - L2 cap, with more than one worker: a W² slow-path staging tile must
+///     stay L2-resident (W²·sizeof(T) ≤ 1 MiB ⇒ W ≤ 512 for a 4-byte T),
+///     rounded down to a multiple of 64 elements so every tile column
+///     starts on a cache line. Several workers on one image make a
+///     wavefront, and small tiles both fill it sooner and bound what a
+///     look-back tile stages.
+///
+/// Never below 128 (diagonal-major order is cache-hostile at small W).
+template <class T>
+constexpr std::size_t auto_tile_w(std::size_t rows, std::size_t cols,
+                                  std::size_t workers) {
+  constexpr std::size_t kMinW = 128;
+  constexpr std::size_t kAccRowBytes = std::size_t{16} << 10;
+  const std::size_t nw = std::max<std::size_t>(1, workers);
+  std::size_t w = std::max(kMinW, (std::max(rows, cols) + nw - 1) / nw);
+  w = std::min(w, std::max(kMinW, kAccRowBytes / sizeof(T)));
+  if (nw > 1) {
+    std::size_t l2 = 64;
+    while ((l2 + 64) * (l2 + 64) * sizeof(T) <= kStagingTileBytes) l2 += 64;
+    w = std::min(w, std::max(kMinW, l2));
+  }
+  return w;
+}
 
 namespace detail {
 
@@ -163,9 +199,13 @@ inline constexpr std::size_t kPageBytes = 4096;
 /// (and hence a placement decision, or a false-shared tail line) with a
 /// peer's. The tile buffer is W² elements and is allocated only on the
 /// first slow-path tile — a worker whose every tile takes the fast path
-/// (always true with one worker) never touches it. The accumulator row and
-/// the tile buffer hold T (what the scan kernels produce); the three prefix
-/// rows hold S, the type the look-back sums are published in.
+/// (always true with one worker) never touches it. Faulting in a fresh
+/// buffer costs more than sweeping the tile (0.4 ms for 1 MiB on a 4-core
+/// KVM Xeon), so a buffer of up to kStagingTileBytes is kept per thread
+/// across engine calls; a wider explicit tile_w gets one per call. The
+/// accumulator row and the tile buffer hold T (what the scan kernels
+/// produce); the three prefix rows hold S, the type the look-back sums are
+/// published in.
 template <class T, class S>
 class TileArena {
   static_assert(std::is_arithmetic_v<T> && std::is_arithmetic_v<S>,
@@ -184,7 +224,17 @@ class TileArena {
 
   /// The W² tile buffer, faulted on first slow-path use.
   T* tile() {
-    if (tile_ == nullptr) tile_ = alloc_touched(w_ * w_ * sizeof(T));
+    const std::size_t bytes = w_ * w_ * sizeof(T);
+    if (bytes <= kStagingTileBytes) {
+      thread_local Block kept;
+      thread_local std::size_t kept_bytes = 0;
+      if (kept_bytes < bytes) {
+        kept = alloc_touched(bytes);
+        kept_bytes = bytes;
+      }
+      return reinterpret_cast<T*>(kept.get());
+    }
+    if (tile_ == nullptr) tile_ = alloc_touched(bytes);
     return reinterpret_cast<T*>(tile_.get());
   }
 
@@ -251,17 +301,12 @@ void skss_lb_engine(ThreadPool& pool,
   }
   if (rows == 0 || cols == 0) return;
 
-  if (w == 0) {
-    const std::size_t maxdim = std::max(rows, cols);
-    w = std::max<std::size_t>(128, (maxdim + nworkers - 1) / nworkers);
-    // Cap W so one accumulator row (W elements) stays L1-resident: the fast
-    // path carries the column prefix through it on every sweep, and past
-    // ~16 KiB it starts thrashing (measured 30% slower at 8192² f32 with an
-    // uncapped 32 KiB acc row vs. two 4096-wide tile columns).
-    const std::size_t cap =
-        std::max<std::size_t>(128, std::size_t{16384} / sizeof(T));
-    w = std::min(w, cap);
-  }
+  // The images of a batch are in flight together, so each needs only its
+  // share of the workers: a batch at least as large as the worker count
+  // gets the one-worker width (one tile per image up to 4096² f32).
+  // Without the share, 8 images of 1024² on 4 workers each split into 4×4
+  // tiles and only 42% of tiles took the fast path.
+  if (w == 0) w = auto_tile_w<T>(rows, cols, (nworkers + batch - 1) / batch);
   // Diagonal-major serials over the tile grid; edge tiles are clipped to the
   // matrix, so the grid is built on the padded-to-W shape. All images share
   // the grid; image b's tiles occupy global serials [b·tpi, (b+1)·tpi).
@@ -271,7 +316,12 @@ void skss_lb_engine(ThreadPool& pool,
   std::vector<LookbackAux<S>> aux;
   aux.reserve(batch);
   for (std::size_t b = 0; b < batch; ++b) aux.emplace_back(tpi, w);
-  ClaimScheduler sched(batch * tpi, nworkers);
+  const std::size_t total = batch * tpi;
+  // satlint: allow(atomic-whitelist) -- the paper's atomicAdd work counter.
+  // A serial carries no payload (all tile data flows through StatusFlags
+  // release/acquire pairs), so a bare relaxed counter is the whole claim
+  // protocol; see the deadlock-freedom note in the header comment.
+  std::atomic<std::size_t> work_counter{0};
 
   LookbackObs obs;
   obs.resolve(opt.metrics);
@@ -291,11 +341,13 @@ void skss_lb_engine(ThreadPool& pool,
     T* acc = arena.acc();
 
     for (;;) {
-      // Self-assignment: chunked diagonal-major claim ranges with tail
-      // stealing — the host form of the paper's atomicAdd work counter,
-      // minus the all-worker cache-line storm.
-      const std::size_t serial = sched.next(worker_index, obs);
-      if (serial == ClaimScheduler::kNone) break;
+      // Self-assignment in diagonal-major order: the host form of the
+      // paper's atomicAdd work counter, one tile per claim.
+      if (testhook::g_sched_hook != nullptr)
+        testhook::g_sched_hook->on_claim();
+      const std::size_t serial =
+          work_counter.fetch_add(1, std::memory_order_relaxed);
+      if (serial >= total) break;
       if (opt.tile_hook) opt.tile_hook(serial);
       const std::size_t img = serial / tpi;
       const std::size_t local = serial % tpi;  // serial within the image

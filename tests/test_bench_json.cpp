@@ -1,6 +1,7 @@
-// Tests for bench/bench_json.hpp: derived-rate math, the v2 "metrics"
-// field, and the write path — which must create missing parent directories
-// and fail loudly (never silently drop a run) when the path is unusable.
+// Tests for bench/bench_json.hpp: derived-rate math, the optional
+// "overhead_vs_copy_pct" and v2 "metrics" fields, and the write path —
+// which must create missing parent directories and fail loudly (never
+// silently drop a run) when the path is unusable.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -58,8 +59,20 @@ TEST(WriteJson, CreatesMissingParentDirectories) {
   const std::string text = slurp(path);
   EXPECT_NE(text.find("\"schema\": \"satlib-bench-v2\""), std::string::npos);
   EXPECT_NE(text.find("\"host_sat/simd/1024\""), std::string::npos);
-  // No metrics were attached, so the field is omitted entirely.
+  // No metrics or copy floor were attached, so both fields are omitted.
   EXPECT_EQ(text.find("\"metrics\""), std::string::npos);
+  EXPECT_EQ(text.find("\"overhead_vs_copy_pct\""), std::string::npos);
+}
+
+TEST(WriteJson, EmitsOverheadVsCopyWhenSet) {
+  const std::string path =
+      (fs::path(testing::TempDir()) / "BENCH_overhead.json").string();
+  satbench::Record r = sample_record();
+  r.overhead_vs_copy_pct = 27.5;
+  ASSERT_TRUE(satbench::write_json(path, {r}, "avx2", /*smoke=*/false));
+  const std::string text = slurp(path);
+  EXPECT_NE(text.find("\"overhead_vs_copy_pct\": 27.5"), std::string::npos)
+      << text;
 }
 
 TEST(WriteJson, EmbedsMetricsObjectWhenPresent) {

@@ -73,10 +73,6 @@ std::uint64_t& slowpath_tiles_total() {
   static std::uint64_t v = 0;
   return v;
 }
-std::uint64_t& steals_total() {
-  static std::uint64_t v = 0;
-  return v;
-}
 std::uint64_t& overlap_tiles_total() {
   static std::uint64_t v = 0;
   return v;
@@ -90,8 +86,6 @@ void accumulate_counters(const obs::Registry& reg) {
     fastpath_tiles_total() += *fast;
     slowpath_tiles_total() += *tiles - *fast;
   }
-  const std::uint64_t* steals = snap.counter("host.lookback.steals");
-  if (steals != nullptr) steals_total() += *steals;
   const std::uint64_t* overlap = snap.counter("host.lookback.overlap_tiles");
   if (overlap != nullptr) overlap_tiles_total() += *overlap;
 }
@@ -306,19 +300,17 @@ TEST(Interleave, RandomSchedulesWorkersExceedTiles) {
   random_schedule_sweep({"rnd-2x2w6", 8, 8, 4, 6}, 160);
 }
 
-TEST(Interleave, RandomSchedulesStealHeavy) {
-  // 4×4 tiles, 4 workers → claim chunk ceil(16/8) = 2, so every refill
-  // leaves one poppable tile in the worker's span. Random schedules that
-  // starve a worker while others drain the cursor force the survivors onto
-  // the steal path — tail-half CAS racing the victim's own pop. Coverage
-  // asserts the sweep actually stole.
+TEST(Interleave, RandomSchedules4x4FourWorkers) {
+  // 4×4 tiles, 4 workers: the largest grid satmc checks exhaustively, here
+  // on the real engine. Up to four tiles are in flight, so random
+  // schedules reach deep row, column and diagonal walks.
   random_schedule_sweep({"rnd-4x4w4", 16, 16, 4, 4}, 220);
 }
 
 TEST(Interleave, RandomSchedulesBatchPipelineBoundary) {
-  // Two 2×2-tile images through ONE scheduler call: global serials
-  // [0,4) are image 0, [4,8) image 1. Schedules freely reorder claim
-  // rounds across the image boundary, so tiles of image 1 start while
+  // Two 2×2-tile images through ONE claim counter: global serials
+  // [0,4) are image 0, [4,8) image 1. Schedules freely reorder claims
+  // across the image boundary, so tiles of image 1 start while
   // image 0's terminal tile is still unpublished — the pipeline overlap
   // the batch entry exists for. Every image must stay bit-exact on every
   // schedule (images share no data, only the claim layer).
@@ -405,9 +397,6 @@ TEST(Interleave, Coverage) {
   EXPECT_GT(slowpath_tiles_total(), 0u)
       << "no schedule forced a look-back (slow-path) tile — the explorer "
          "is not actually perturbing claim/publish order";
-  EXPECT_GT(steals_total(), 0u)
-      << "no schedule reached the claim scheduler's steal path — starving "
-         "a worker past the cursor drain must force tail-half steals";
 }
 
 }  // namespace

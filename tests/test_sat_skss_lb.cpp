@@ -165,6 +165,67 @@ TEST(SkssLb, WorkersExceedingPoolAndTiles) {
   expect_sat_equal(input, got);
 }
 
+// The automatic tile width (SkssLbOptions::tile_w = 0), one row per case:
+// one worker keeps the L1-capped width, several workers also get the L2
+// cap on the W² staging tile.
+struct AutoWidthCase {
+  std::size_t rows, cols, workers, elem_bytes, want;
+};
+
+std::size_t auto_w(const AutoWidthCase& c) {
+  switch (c.elem_bytes) {
+    case 4: return sathost::auto_tile_w<float>(c.rows, c.cols, c.workers);
+    case 8: return sathost::auto_tile_w<std::int64_t>(c.rows, c.cols,
+                                                      c.workers);
+  }
+  ADD_FAILURE() << "no element type of " << c.elem_bytes << " bytes";
+  return 0;
+}
+
+TEST(SkssLb, AutoTileWidthTable) {
+  const AutoWidthCase cases[] = {
+      // One worker: max(128, maxdim), capped at 16 KiB / sizeof(T).
+      {12288, 12288, 1, 4, 4096},
+      {1024, 1024, 1, 4, 1024},
+      {480, 640, 1, 4, 640},
+      {12288, 12288, 1, 8, 2048},
+      {100, 50, 1, 4, 128},
+      // Four workers: ceil(maxdim / 4), capped at W²·sizeof(T) ≤ 1 MiB.
+      {12288, 12288, 4, 4, 512},
+      {1024, 1024, 4, 4, 256},
+      {4320, 7680, 4, 4, 512},
+      {12288, 12288, 4, 8, 320},
+      {1024, 1024, 4, 8, 256},
+      {1000, 1000, 8, 4, 128},
+      {4096, 4096, 2, 4, 512},
+  };
+  for (const AutoWidthCase& c : cases)
+    EXPECT_EQ(auto_w(c), c.want)
+        << c.rows << "x" << c.cols << " workers=" << c.workers
+        << " sizeof(T)=" << c.elem_bytes;
+  // f32 and i32 share the 4-byte caps.
+  EXPECT_EQ(sathost::auto_tile_w<std::int32_t>(12288, 12288, 4), 512u);
+  EXPECT_EQ(sathost::auto_tile_w<std::int32_t>(12288, 12288, 1), 4096u);
+}
+
+TEST(SkssLb, AutoTileWidthStaysWithinItsCaps) {
+  const std::size_t sizes[] = {1, 7, 128, 500, 1024, 4097, 12288, 65536};
+  const std::size_t worker_counts[] = {0, 1, 2, 3, 4, 8, 64};
+  for (const std::size_t n : sizes)
+    for (const std::size_t workers : worker_counts) {
+      const std::size_t w4 = sathost::auto_tile_w<float>(n, n, workers);
+      const std::size_t w8 = sathost::auto_tile_w<double>(n, n, workers);
+      EXPECT_GE(w4, 128u);
+      EXPECT_GE(w8, 128u);
+      EXPECT_LE(w4 * sizeof(float), 16384u);
+      EXPECT_LE(w8 * sizeof(double), 16384u);
+      if (workers > 1) {
+        EXPECT_LE(w4 * w4 * sizeof(float), std::size_t{1} << 20);
+        EXPECT_LE(w8 * w8 * sizeof(double), std::size_t{1} << 20);
+      }
+    }
+}
+
 TEST(SkssLb, EmptyMatrixIsNoop) {
   sathost::ThreadPool pool(2);
   Matrix<std::int64_t> input(0, 0), got(0, 0);
@@ -173,9 +234,9 @@ TEST(SkssLb, EmptyMatrixIsNoop) {
 
 TEST(SkssLb, BatchEveryImageMatchesSequential) {
   // The pipelined batch entry: several ragged-shaped images through one
-  // scheduler call, each bit-exact against its own oracle. Worker counts
+  // claim counter, each bit-exact against its own oracle. Worker counts
   // above and below the per-image tile count stress the cross-image
-  // claim-range handoff.
+  // handoff.
   for (std::size_t workers : {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
     constexpr std::size_t kRows = 193, kCols = 210, kBatch = 4;
     std::vector<Matrix<std::int64_t>> inputs;
@@ -226,13 +287,12 @@ TEST(SkssLb, BatchPublishesPipelineMetrics) {
   ASSERT_NE(tiles, nullptr);
   EXPECT_EQ(*tiles, kBatch * (kN / 32) * (kN / 32));
   // The overlap gauge is always set for batch > 1 (0 when nothing
-  // pipelined); the range histogram records every refill.
+  // pipelined).
   const bool has_overlap_pct =
       std::any_of(snap.gauges.begin(), snap.gauges.end(), [](const auto& g) {
         return g.first == "host.lookback.pipeline_overlap_pct";
       });
   EXPECT_TRUE(has_overlap_pct);
-  ASSERT_NE(snap.histogram("host.lookback.range_tiles"), nullptr);
   for (std::size_t k = 0; k < kBatch; ++k) expect_sat_equal(inputs[k], outs[k]);
 }
 

@@ -107,12 +107,11 @@ CeSchedule parse_ce(const std::string& text) {
                           static_cast<std::size_t>(json_int(o, "tile")),
                           json_str(o, "axis")[0],
                           static_cast<std::uint8_t>(json_int(o, "want"))});
-  // A tile grant is a "pops serial" step. The scheduler's other claim-round
-  // outcomes (range draws, steals, exits) are bookkeeping with no mini-engine
-  // counterpart — the pick loop skips them as stale for unmapped workers.
+  // A tile grant is a "claims serial" step: one fetch_add on the counter,
+  // exactly as the engine claims.
   for (const std::string& o : json_objects(text, "schedule"))
     ce.steps.emplace_back(static_cast<std::size_t>(json_int(o, "worker")),
-                          json_str(o, "desc").find(" pops serial ") !=
+                          json_str(o, "desc").find(" claims serial ") !=
                               std::string::npos);
   return ce;
 }
@@ -122,10 +121,6 @@ CeSchedule parse_ce(const std::string& text) {
 // guard peeks, same publish order, same lookback_accumulate walks over the
 // real StatusFlags — with satmc's sigma-order-inversion seeded into the
 // claim: serials are handed out in *decreasing* diagonal-major order.
-// The engine proper claims through chunked per-worker ranges
-// (sathost::ClaimScheduler); a plain shared counter replays the emitted
-// schedule faithfully because its pops are refills popped in cursor order,
-// so the n-th granted serial is tiles-1-n either way.
 
 struct MiniEngine {
   satalgo::TileGrid grid;

@@ -1,12 +1,18 @@
 // Multicore scaling gate for the host 1R1W-SKSS-LB engine.
 //
-// The claim-range scheduler exists so that adding workers adds throughput:
-// per-worker diagonal-major ranges keep each worker on contiguous serials
-// (no shared-counter ping-pong), and tail-half stealing rebalances the
-// trailing anti-diagonals. This test pins the headline claim — two workers
-// beat one on a 4096x4096 image — as a ctest that SKIPS on single-core
-// boxes (a 1-core machine can only measure oversubscription overhead,
-// which the perf ledger's skss_lb_t* rows document instead).
+// Workers claim tiles one at a time off the engine's shared counter, as the
+// paper's blocks do, so the tiles in flight are consecutive serials whose
+// look-back predecessors are usually already published, and the auto tile
+// width (sathost::auto_tile_w) gives two workers 512-wide tiles to share
+// the image. This test pins the headline claim — two workers beat one on
+// a 4096x4096 image — as a ctest that SKIPS on single-core boxes (a 1-core
+// machine can only measure oversubscription overhead, which the perf
+// ledger's skss_lb_t* rows document instead).
+//
+// The input is i32 so the two outputs must be bit-equal by the engine's
+// contract: integral tables are exact whatever the worker count, while f32
+// results depend on which path each tile took (the fast path derives GCS
+// by differencing the bottom output row, which is not exact in f32).
 //
 // Timing discipline matches tools/run_benches.cpp: the worker counts are
 // INTERLEAVED, one iteration of each per round with best-of tracking, so
@@ -15,6 +21,7 @@
 
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <thread>
 
@@ -38,23 +45,26 @@ TEST(SkssScaling, TwoWorkersBeatOneAt4096) {
                     "measurable here (see the skss_lb_t* ledger rows)";
 
   const std::size_t n = 4096;
-  const auto a = sat::Matrix<float>::random(n, n, 1, 0.0f, 1.0f);
-  sat::Matrix<float> b1(n, n), b2(n, n);
+  // Values below 8 keep every prefix sum of a 4096² table under 2^31.
+  const auto a = sat::Matrix<std::int32_t>::random(n, n, 1, 0, 7);
+  sat::Matrix<std::int32_t> b1(n, n), b2(n, n);
   const auto src = a.view();
 
   sathost::ThreadPool pool1(1), pool2(2);
   sathost::SkssLbOptions opt;
-  const auto run1 = [&] { sathost::sat_skss_lb<float>(pool1, src, b1.view(), opt); };
-  const auto run2 = [&] { sathost::sat_skss_lb<float>(pool2, src, b2.view(), opt); };
+  const auto run1 = [&] {
+    sathost::sat_skss_lb<std::int32_t>(pool1, src, b1.view(), opt);
+  };
+  const auto run2 = [&] {
+    sathost::sat_skss_lb<std::int32_t>(pool2, src, b2.view(), opt);
+  };
 
   // Warm-up: fault in both destination buffers and the pools' arenas.
   run1();
   run2();
 
-  // Same result regardless of worker count (f32 tile sums are associated
-  // identically: the decomposition fixes the adds, workers only reorder
-  // whole-tile completion).
-  ASSERT_EQ(std::memcmp(b1.data(), b2.data(), n * n * sizeof(float)), 0)
+  ASSERT_EQ(std::memcmp(b1.data(), b2.data(), n * n * sizeof(std::int32_t)),
+            0)
       << "2-worker result diverges from 1-worker result";
 
   constexpr int kIters = 5;

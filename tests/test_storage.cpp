@@ -1,5 +1,5 @@
 // Storage::kTiledResidual end to end: the TiledSat container and its host
-// encoder (claim-range sat_skss_lb_residual, on one and on several
+// encoder (sat_skss_lb_residual, on one and on several
 // workers) against the sequential i64 oracle, the per-tile
 // width selection and its wide overflow fallback, the range-extension
 // contract (tables whose dense form overflows T still reconstruct exactly),

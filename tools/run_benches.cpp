@@ -3,12 +3,16 @@
 //   ./build/tools/run_benches            # full run, writes to repo root
 //   ./build/tools/run_benches --smoke    # small sizes, CI-friendly
 //
-// Emits BENCH_host_sat.json (host SAT implementations, Melem/s and ns/elem)
-// and BENCH_sim.json (simulator count-only throughput on the Table III
-// workload) into --out-dir. Dependency-free: uses bench/bench_json.hpp, not
+// Emits BENCH_host_sat.json (host SAT implementations, Melem/s, ns/elem and
+// overhead over a plain copy of the same bytes) and BENCH_sim.json
+// (simulator count-only throughput on the Table III workload) into
+// --out-dir. Dependency-free: uses bench/bench_json.hpp, not
 // google-benchmark, so it builds even with SATLIB_BUILD_BENCHES=OFF.
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -58,6 +62,42 @@ Record time_host(const std::string& impl, std::size_t n, bool smoke, Fn&& fn,
   std::printf("  %-28s %10.3f ms  %9.1f Melem/s\n", r.name.c_str(), r.wall_ms,
               r.melem_per_s());
   return r;
+}
+
+/// host_sat/copy/{n}: the duplication floor (the paper's yardstick) — the
+/// n² 4-byte elements of `src` copied to `dst` in row blocks on the pool,
+/// i.e. the one read and one write per element every engine row also pays.
+Record time_copy(sathost::ThreadPool& pool, const float* src, float* dst,
+                 std::size_t n, bool smoke) {
+  const std::size_t blocks = std::min<std::size_t>(n, 64);
+  const std::size_t rows_per_block = (n + blocks - 1) / blocks;
+  return time_host("copy", n, smoke, [&] {
+    pool.parallel_for(blocks, [&](std::size_t blk) {
+      const std::size_t r0 = blk * rows_per_block;
+      const std::size_t r1 = std::min(n, r0 + rows_per_block);
+      if (r0 < r1)
+        std::memcpy(dst + r0 * n, src + r0 * n, (r1 - r0) * n * sizeof(float));
+    });
+  });
+}
+
+/// Sets every row's overhead_vs_copy_pct from the copy row of its size.
+/// All rows move 4-byte elements, so a row of k images (elems = k·n²) is
+/// held against k copies.
+void set_overhead_vs_copy(std::vector<Record>& rows) {
+  std::map<std::size_t, double> copy_ms;
+  for (const Record& r : rows)
+    if (r.impl == "copy") copy_ms[r.n] = r.wall_ms;
+  std::printf("overhead over host_sat/copy of the same size:\n");
+  for (Record& r : rows) {
+    const auto floor = copy_ms.find(r.n);
+    if (r.impl == "copy" || floor == copy_ms.end()) continue;
+    const double images =
+        static_cast<double>(r.elems) / static_cast<double>(r.n * r.n);
+    r.overhead_vs_copy_pct = 100.0 * (r.wall_ms / (images * floor->second) -
+                                      1.0);
+    std::printf("  %-28s %9.1f %%\n", r.name.c_str(), *r.overhead_vs_copy_pct);
+  }
 }
 
 std::vector<Record> run_host_benches(bool smoke) {
@@ -278,6 +318,9 @@ std::vector<Record> run_host_benches(bool smoke) {
       }
       server.stop();
     }
+    // Timed last in its size, so the copy does not change the conditions of
+    // the rows before it, the normalized gate's reference row among them.
+    out.push_back(time_copy(pool, a.data(), b.data(), n, smoke));
   }
   if (!smoke) {
     // n=8192 head-to-head of the two leading engines only (a full sweep at
@@ -373,7 +416,9 @@ std::vector<Record> run_host_benches(bool smoke) {
         out.push_back(r);
       }
     }
+    out.push_back(time_copy(pool, a.data(), b.data(), n, smoke));
   }
+  set_overhead_vs_copy(out);
   return out;
 }
 

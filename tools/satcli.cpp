@@ -130,7 +130,7 @@ int mode_compute(const satutil::ArgParser& args) {
   if (batch > 1) {
     // Batched run: one launch over `batch` same-shape random images. On the
     // CPU backend with --host-impl skss_lb this pipelines images through one
-    // claim-range scheduler; on the simulated GPU it is one batched kernel.
+    // claim counter; on the simulated GPU it is one batched kernel.
     std::vector<sat::Matrix<float>> inputs;
     inputs.reserve(batch);
     for (std::size_t k = 0; k < batch; ++k) {

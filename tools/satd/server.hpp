@@ -9,7 +9,7 @@
 //     from the bounded queue and running it through ONE
 //     sat::compute_sat_batch_into call on the shared, server-owned
 //     ThreadPool (Options::pool), so same-shape requests coalesce into a
-//     single claim-range scheduler pass;
+//     single engine pass;
 //   - replies go back on the request's connection under a per-connection
 //     write mutex (reader replies and dispatcher results interleave
 //     safely).

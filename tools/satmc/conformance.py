@@ -17,15 +17,18 @@ exactly the fact the model declares (`satmc --dump-model`):
     path, in source order;
   * the three look-back walks' (axis, LOCAL, GLOBAL) threshold pairs;
   * the fast-path guard's peek thresholds;
-  * the memory orders: publish = store-release, observe = load-acquire,
-    claim counter = relaxed fetch_add.  Relaxed accesses covered by a
-    satlint allow directive (with rationale) are exempt, exactly as satlint
-    itself treats them.
+  * the memory orders: publish = store-release, observe = load-acquire.
+    Relaxed accesses covered by a satlint allow directive (with rationale)
+    are exempt, exactly as satlint itself treats them;
+  * the tile claim: the engine's only fetch_add is the model's counter,
+    `work_counter.fetch_add(1, std::memory_order_relaxed)` — one serial per
+    claim, as in the paper.
 
 It also checks that sat_skss_lb.hpp is the protocol's only host
-implementation: no other file under src/host/ may contain a flag publish or
-a look-back walk, so every output the engine produces runs the code that the
-facts above (and the explorer, TSan and satlint) check.
+implementation: no other file under src/host/ may contain a flag publish, a
+look-back walk or a claim on the work counter, so every output the engine
+produces runs the code that the facts above (and the explorer, TSan and
+satlint) check.
 
 Usage:
     conformance.py --root DIR --satmc PATH/TO/satmc [--lookback FILE]
@@ -67,21 +70,11 @@ WALK_CALL = re.compile(
 GUARD_PEEK = re.compile(
     r"\w*aux\s*\.\s*([rc])_status\s*\.\s*peek\s*\(\s*\w+\s*\)\s*>=\s*"
     r"hflag::k(\w+)")
-# work_counter_.fetch_add(chunk_, std::memory_order_relaxed) — the claim
-# cursor lives in ClaimScheduler (src/host/lookback.hpp) since the
-# claim-range scheme replaced the engine's per-tile counter.
-CLAIM_ORDER = re.compile(
-    r"work_counter_?\s*\.\s*fetch_add\s*\([^)]*memory_order(?:::|_)(\w+)")
-# compare_exchange_weak(cur, pack(...), std::memory_order_relaxed, ...) —
-# the pop/steal CASes of ClaimScheduler.
-CLAIM_CAS_ORDER = re.compile(
-    r"compare_exchange_weak\s*\(\s*cur\s*,[^;]*?memory_order(?:::|_)(\w+)")
-# The tail-half split point of the steal.
-STEAL_SPLIT = re.compile(r"next\s*\+\s*\(\s*end\s*-\s*next\s*\)\s*/\s*2")
-# range_chunk's ceil(total / (2*workers)): the two-slices-per-worker divisor
-# and the round-up numerator.
-CHUNK_SLICES = re.compile(r"2\s*\*\s*std::max<\s*std::size_t\s*>\s*\(\s*1")
-CHUNK_CEIL = re.compile(r"\+\s*slices\s*-\s*1\s*\)\s*/\s*slices")
+# work_counter.fetch_add(1, std::memory_order_relaxed) — the engine's
+# per-tile claim (the paper's atomicAdd work counter).
+CLAIM_CALL = re.compile(
+    r"(\w+)\s*\.\s*fetch_add\s*\(\s*(\w+)\s*,\s*"
+    r"std::memory_order(?:::|_)(\w+)\s*\)")
 # {0, rflag::kLrs},  /  {rflag::kGls, rflag::kGs},
 TRANSITION_ROW = re.compile(
     r"\{\s*(0|[rc]flag::k\w+)\s*,\s*([rc]flag::k\w+)\s*\}")
@@ -254,7 +247,7 @@ def main() -> int:
                  for m in TERMINAL_DECL.finditer(specs_text)}
     conf.expect("terminal states", terminals, dump["terminal"])
 
-    # 5. The engine's publish sequence, walks, fast guard, claim order.
+    # 5. The engine's publish sequence, walks, fast guard.
     print(f"[engine] {skss_path}")
     engine = load_source(skss_path, root)
     engine_text = "\n".join(engine.code)
@@ -272,40 +265,37 @@ def main() -> int:
              for axis, name in GUARD_PEEK.findall(engine_text)]
     conf.expect("fast-path guard thresholds", guard, dump["fast_guard"])
 
-    # 6. The claim-range scheduler (ClaimScheduler, lookback.hpp): cursor
-    # order, pop/steal CAS orders, the tail-half split, the chunk formula.
-    print(f"[claim scheduler] {lookback_path}")
-    lookback_text = "\n".join(lookback.code)
-    claim = CLAIM_ORDER.findall(lookback_text)
-    conf.expect("claim cursor fetch_add order", sorted(set(claim)),
-                [dump["orders"]["claim"]])
-    cas = CLAIM_CAS_ORDER.findall(lookback_text)
-    conf.expect("pop/steal CAS orders (success order per CAS)",
-                sorted(set(cas)), [dump["orders"]["steal"]])
-    conf.expect("steal takes the tail half",
-                "tail-half cas" if STEAL_SPLIT.search(lookback_text)
-                else "absent", dump["claim"]["steal"])
-    chunk_code = "ceil(total / (2 * workers))" \
-        if CHUNK_SLICES.search(lookback_text) and \
-        CHUNK_CEIL.search(lookback_text) else "absent"
-    conf.expect("range chunk formula", chunk_code, dump["claim"]["chunk"])
-    conf.expect("claim cursor name",
-                "work_counter_" if "work_counter_" in lookback_text
-                else "absent", dump["claim"]["cursor"])
+    # 6. The claim: every fetch_add in the engine is the model's counter,
+    # stepping one serial per claim with the model's order.
+    claims = [{"counter": name, "step": int(step) if step.isdigit() else step,
+               "order": order}
+              for name, step, order in CLAIM_CALL.findall(engine_text)]
+    conf.expect("tile claims (counter, step, order)", claims,
+                [{"counter": dump["claim"]["counter"],
+                  "step": dump["claim"]["step"],
+                  "order": dump["orders"]["claim"]}])
 
-    # 7. One implementation: every other host source is free of flag
-    # publishes and look-back walks, so no output runs an unchecked copy.
+    # 7. One implementation: every other host source (the flag header as
+    # given by --lookback) is free of flag publishes, look-back walks and
+    # claims on the work counter, so no output runs an unchecked copy and
+    # no second claim scheme hands out serials.
     print(f"[one implementation] {skss_path.parent}")
+    real_lookback = root / "src" / "host" / "lookback.hpp"
     copies: dict[str, dict[str, int]] = {}
     for path in sorted(skss_path.parent.rglob("*")):
         if path.suffix not in (".hpp", ".cpp") or path == skss_path:
             continue
-        text = "\n".join(load_source(path, root).code)
+        if path == real_lookback:
+            path = lookback_path
+        src = load_source(path, root)
+        text = "\n".join(src.code)
         found = {"publishes": len(PUBLISH_CALL.findall(text)),
-                 "walks": len(WALK_CALL.findall(text))}
+                 "walks": len(WALK_CALL.findall(text)),
+                 "claims": sum(name == dump["claim"]["counter"]
+                               for name, _, _ in CLAIM_CALL.findall(text))}
         if any(found.values()):
-            copies[path.relative_to(root).as_posix()] = found
-    conf.expect("other src/host/ files with flag publishes or walks",
+            copies[src.relpath] = found
+    conf.expect("other src/host/ files with flag publishes, walks or claims",
                 copies, {})
 
     print(f"conformance: {conf.checked} facts checked, "

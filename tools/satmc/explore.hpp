@@ -57,7 +57,6 @@ class Explorer {
     arena_.clear();
     parent_.clear();
     pworker_.clear();
-    pchoice_.clear();
 
     std::vector<std::uint8_t> scratch(stride_);
     m_.init(scratch.data());
@@ -73,7 +72,7 @@ class Explorer {
         std::string detail;
         if (m_.check_terminal(cur.data(), &detail) != Verdict::kOk) {
           const std::size_t transitions = res.transitions;
-          res = make_violation(head, -1, 0, Verdict::kIncompleteTerminal);
+          res = make_violation(head, -1, Verdict::kIncompleteTerminal);
           res.detail = detail;
           res.transitions = transitions;
           finish(res);
@@ -86,54 +85,47 @@ class Explorer {
       for (std::size_t w = 0; w < m_.workers(); ++w) {
         if (!m_.enabled(cur.data(), w)) continue;
         any_enabled = true;
-        // A transition may branch (a claim round choosing a steal victim or
-        // the early exit — Model::num_choices); expand one successor per
-        // choice.
-        const std::size_t nc = m_.num_choices(cur.data(), w);
-        for (std::size_t choice = 0; choice < nc; ++choice) {
-          std::memcpy(scratch.data(), cur.data(), stride_);
-          Verdict v = m_.apply(scratch.data(), w, nullptr, choice);
+        std::memcpy(scratch.data(), cur.data(), stride_);
+        Verdict v = m_.apply(scratch.data(), w, nullptr);
+        ++res.transitions;
+        // Ample-set reduction, fused into the parent transition: fire every
+        // eager step (deterministic, invisible to other workers —
+        // Model::eager) right here, so linear chains of them never occupy
+        // table entries. Eager steps commute and are confluent, so any
+        // firing order reaches the same fixpoint, and make_violation
+        // re-derives the chain during replay.
+        while (v == Verdict::kOk) {
+          std::size_t e = m_.workers();
+          for (std::size_t w2 = 0; w2 < m_.workers(); ++w2)
+            if (m_.eager(scratch.data(), w2)) {
+              e = w2;
+              break;
+            }
+          if (e == m_.workers()) break;
+          v = m_.apply(scratch.data(), e, nullptr);
           ++res.transitions;
-          // Ample-set reduction, fused into the parent transition: fire
-          // every eager step (deterministic, invisible to other workers —
-          // Model::eager) right here, so linear chains of them never occupy
-          // table entries. Eager steps commute and are confluent, so any
-          // firing order reaches the same fixpoint, and make_violation
-          // re-derives the chain during replay.
-          while (v == Verdict::kOk) {
-            std::size_t e = m_.workers();
-            for (std::size_t w2 = 0; w2 < m_.workers(); ++w2)
-              if (m_.eager(scratch.data(), w2)) {
-                e = w2;
-                break;
-              }
-            if (e == m_.workers()) break;
-            v = m_.apply(scratch.data(), e, nullptr);
-            ++res.transitions;
-          }
-          if (v != Verdict::kOk) {
-            const std::size_t transitions = res.transitions;
-            res = make_violation(head, static_cast<int>(w), choice, v);
-            res.transitions = transitions;
-            finish(res);
-            return res;
-          }
-          if (symmetry_) m_.canonicalize(scratch.data());
-          if (insert(scratch.data(), static_cast<std::uint32_t>(head),
-                     static_cast<std::uint8_t>(w),
-                     static_cast<std::uint8_t>(choice)) &&
-              count() > max_states_) {
-            res.verdict = Verdict::kIncompleteTerminal;
-            res.detail = "state-space cap of " + std::to_string(max_states_) +
-                         " states exceeded";
-            finish(res);
-            return res;
-          }
+        }
+        if (v != Verdict::kOk) {
+          const std::size_t transitions = res.transitions;
+          res = make_violation(head, static_cast<int>(w), v);
+          res.transitions = transitions;
+          finish(res);
+          return res;
+        }
+        if (symmetry_) m_.canonicalize(scratch.data());
+        if (insert(scratch.data(), static_cast<std::uint32_t>(head),
+                   static_cast<std::uint8_t>(w)) &&
+            count() > max_states_) {
+          res.verdict = Verdict::kIncompleteTerminal;
+          res.detail = "state-space cap of " + std::to_string(max_states_) +
+                       " states exceeded";
+          finish(res);
+          return res;
         }
       }
       if (!any_enabled) {
         const std::size_t transitions = res.transitions;
-        res = make_violation(head, -1, 0, Verdict::kDeadlock);
+        res = make_violation(head, -1, Verdict::kDeadlock);
         res.transitions = transitions;
         finish(res);
         return res;
@@ -164,8 +156,7 @@ class Explorer {
 
   /// Appends the state (with its BFS parent record) if unseen. Returns true
   /// when the state is new.
-  bool insert(const std::uint8_t* s, std::uint32_t parent, std::uint8_t w,
-              std::uint8_t choice = 0) {
+  bool insert(const std::uint8_t* s, std::uint32_t parent, std::uint8_t w) {
     if (2 * (count() + 1) > slots_.size()) grow();
     const std::size_t mask = slots_.size() - 1;
     std::size_t at = hash_bytes(s, stride_) & mask;
@@ -179,7 +170,6 @@ class Explorer {
     arena_.insert(arena_.end(), s, s + stride_);
     parent_.push_back(parent);
     pworker_.push_back(w);
-    pchoice_.push_back(choice);
     slots_[at] = static_cast<std::uint32_t>(idx + 1);
     return true;
   }
@@ -198,20 +188,16 @@ class Explorer {
 
   /// Builds the concrete schedule reaching canonical state `state_idx`,
   /// optionally firing one more transition on canonical slot `final_slot`
-  /// with `final_choice` (the violating step; −1 for deadlock/terminal
-  /// verdicts where the state itself is the witness).
-  Result make_violation(std::size_t state_idx, int final_slot,
-                        std::size_t final_choice, Verdict v) {
+  /// (the violating step; −1 for deadlock/terminal verdicts where the state
+  /// itself is the witness).
+  Result make_violation(std::size_t state_idx, int final_slot, Verdict v) {
     Result res;
     res.verdict = v;
 
-    struct Link {
-      std::uint8_t slot, choice;
-    };
-    std::vector<Link> chain;
+    std::vector<std::pair<std::size_t, std::uint8_t>> chain;
     for (std::size_t idx = state_idx; parent_[idx] != kNoParent;
          idx = parent_[idx])
-      chain.push_back({pworker_[idx], pchoice_[idx]});
+      chain.emplace_back(parent_[idx], pworker_[idx]);
     std::reverse(chain.begin(), chain.end());
 
     std::vector<std::uint8_t> c(stride_);
@@ -244,11 +230,12 @@ class Explorer {
       }
     };
 
-    for (const auto& link : chain) {
-      const std::size_t w = concrete_worker(link.slot);
+    for (const auto& [pidx, slot] : chain) {
+      (void)pidx;
+      const std::size_t w = concrete_worker(slot);
       Step step;
       step.worker = w;
-      m_.apply(c.data(), w, &step.desc, link.choice);
+      m_.apply(c.data(), w, &step.desc);
       res.trace.push_back(std::move(step));
       close_eager();
     }
@@ -257,7 +244,7 @@ class Explorer {
           concrete_worker(static_cast<std::uint8_t>(final_slot));
       Step step;
       step.worker = w;
-      Verdict fv = m_.apply(c.data(), w, &step.desc, final_choice);
+      Verdict fv = m_.apply(c.data(), w, &step.desc);
       res.trace.push_back(std::move(step));
       // When the recorded step itself succeeded, the violation was found
       // inside its eager closure; every worker's eager chain is
@@ -299,7 +286,6 @@ class Explorer {
   std::vector<std::uint8_t> arena_;
   std::vector<std::uint32_t> parent_;
   std::vector<std::uint8_t> pworker_;
-  std::vector<std::uint8_t> pchoice_;
   std::vector<std::uint32_t> slots_;
 };
 

@@ -104,8 +104,7 @@ enum Vis : std::uint8_t {
 /// lambda in src/host/sat_skss_lb.hpp (see file comment for the fusion
 /// argument).
 enum class Phase : std::uint8_t {
-  kClaim = 0,  ///< one claim round: pop own range, else refill off the
-               ///< cursor, else steal a peer's tail half or exit
+  kClaim = 0,  ///< about to fetch_add the σ counter
   kCheckFast,  ///< peek the 3 predecessors; fast: read + publish terminals;
                ///< slow: compute local SAT, publish LRS + LCS
   kRowWalk,    ///< wait R[left−k] ≥ LRS, read its LRS/GRS
@@ -140,7 +139,7 @@ enum class Mutation : std::uint8_t {
   /// data lands only at the GRS publish). A row-walking neighbor that
   /// trusts the flag reads an unwritten LRS.
   kFlagBeforeData,
-  /// The range pops hand serials out in *decreasing* order. Look-back
+  /// The σ counter hands serials out in *decreasing* order. Look-back
   /// dependencies then point at tiles claimed after the waiter; with fewer
   /// workers than tiles every worker ends up blocked on an unclaimed tile.
   kSigmaInversion,
@@ -148,11 +147,6 @@ enum class Mutation : std::uint8_t {
   /// GRS is still in the writer's store buffer; the next row-walker reads a
   /// value no release edge ever made visible.
   kDroppedRelease,
-  /// The steal loses the victim-side CAS (a lost update): the thief
-  /// installs the stolen tail [mid, end) but the victim's span keeps it
-  /// too, so both workers pop the same serials — the model's rendering of
-  /// a steal that reads, splits, and re-reads without the atomic exchange.
-  kRacySteal,
 };
 
 inline const char* mutation_name(Mutation m) {
@@ -161,7 +155,6 @@ inline const char* mutation_name(Mutation m) {
     case Mutation::kFlagBeforeData: return "flag-before-data";
     case Mutation::kSigmaInversion: return "sigma-order-inversion";
     case Mutation::kDroppedRelease: return "dropped-release";
-    case Mutation::kRacySteal: return "racy-steal";
   }
   return "?";
 }
@@ -201,51 +194,28 @@ struct BlockedWait {
 /// The transition system for one (g_rows × g_cols tiles, nworkers) config.
 ///
 /// Packed state layout (state_size() bytes):
-///   [0]                       range cursor (serials granted to ranges)
-///   [1 + 5w .. 1 + 5w + 4]    worker w: phase, serial (0xFF = none),
-///                             walk k, range next, range end
+///   [0]                       σ claim counter (number of grants)
+///   [1 + 3w .. 1 + 3w + 2]    worker w: phase, serial (0xFF = none), walk k
 ///   [base_t + 3t .. +2]       tile t: flags byte (R | C<<3 | dst<<6),
 ///                             value lattice (6 values × 2 bits, LE u16)
 ///
-/// The claim layer mirrors sathost::ClaimScheduler: each worker owns a
-/// contiguous serial range [next, end) drawn off the shared cursor in
-/// chunks of ceil(tiles / (2·workers)), pops it front-to-back, and — once
-/// the cursor is drained and its own range empty — either steals the tail
-/// half of a peer's range or exits. Pop, refill and steal are each a single
-/// CAS/fetch_add in the engine, so each is one model transition; exit is
-/// offered as a *choice* even while victims are visible, a sound
-/// over-approximation of the engine's refill window (the cursor moves one
-/// atomic before the refilled span becomes visible, so a scanning thief can
-/// miss it and leave empty-handed). Claims carry no release edges in the
-/// model — a serial is a pure work token, and the checker proves the R/C
-/// flag protocol alone guards every cross-tile read.
-///
-/// Workers are symmetric: no transition reads a worker index (steal victims
-/// are chosen by record value, not index), so permuting the worker records
-/// of any reachable state yields a reachable state with the same future.
-/// canonicalize() sorts the records; the explorer stores only canonical
-/// representatives.
+/// Workers are symmetric: no transition reads a worker index, so permuting
+/// the worker records of any reachable state yields a reachable state with
+/// the same future. canonicalize() sorts the records; the explorer stores
+/// only canonical representatives.
 class Model {
  public:
-  /// Bytes per packed worker record.
-  static constexpr std::size_t kWRec = 5;
-
   Model(std::size_t g_rows, std::size_t g_cols, std::size_t nworkers,
         Mutation mutation = Mutation::kNone)
-      : grid_(g_rows, g_cols, 1), nw_(nworkers), mut_(mutation) {
-    const std::size_t slices = 2 * nw_;
-    chunk_ = static_cast<std::uint8_t>(
-        std::max<std::size_t>(1, (tiles() + slices - 1) / slices));
-  }
+      : grid_(g_rows, g_cols, 1), nw_(nworkers), mut_(mutation) {}
 
   [[nodiscard]] std::size_t workers() const { return nw_; }
   [[nodiscard]] std::size_t tiles() const { return grid_.count(); }
   [[nodiscard]] const satalgo::TileGrid& grid() const { return grid_; }
   [[nodiscard]] Mutation mutation() const { return mut_; }
-  [[nodiscard]] std::size_t chunk() const { return chunk_; }
 
   [[nodiscard]] std::size_t state_size() const {
-    return 1 + kWRec * nw_ + 3 * grid_.count();
+    return 1 + 3 * nw_ + 3 * grid_.count();
   }
 
   void init(std::uint8_t* s) const {
@@ -258,15 +228,7 @@ class Model {
     return s[0];
   }
   [[nodiscard]] Phase phase(const std::uint8_t* s, std::size_t w) const {
-    return static_cast<Phase>(s[1 + kWRec * w]);
-  }
-  [[nodiscard]] std::uint8_t range_next(const std::uint8_t* s,
-                                        std::size_t w) const {
-    return s[1 + kWRec * w + 3];
-  }
-  [[nodiscard]] std::uint8_t range_end(const std::uint8_t* s,
-                                       std::size_t w) const {
-    return s[1 + kWRec * w + 4];
+    return static_cast<Phase>(s[1 + 3 * w]);
   }
   [[nodiscard]] std::uint8_t r_flag(const std::uint8_t* s,
                                     std::size_t t) const {
@@ -343,16 +305,7 @@ class Model {
   /// only the worker's own record and stays eager unconditionally.
   [[nodiscard]] bool eager(const std::uint8_t* s, std::size_t w) const {
     const Phase p = phase(s, w);
-    if (p == Phase::kClaim) {
-      // The exit step is forced (and invisible) only when the cursor is
-      // drained and *no* span anywhere holds work — a condition that can
-      // never become false again. While any victim is visible the round is
-      // a real choice point (steal whom, or exit early) and stays lazy.
-      if (range_next(s, w) < range_end(s, w) || s[0] < tiles()) return false;
-      for (std::size_t w2 = 0; w2 < nw_; ++w2)
-        if (range_next(s, w2) < range_end(s, w2)) return false;
-      return true;
-    }
+    if (p == Phase::kClaim) return s[0] >= tiles();
     if (mut_ != Mutation::kNone) return false;
     if (!is_walk(p)) return false;
     const BlockedWait bw = wait_of(s, w);
@@ -391,29 +344,34 @@ class Model {
     return bw;
   }
 
-  /// Nondeterministic branching degree of worker `w`'s next transition.
-  /// Every phase is deterministic except a claim round at the steal point,
-  /// which chooses a victim (by record value, keeping worker symmetry
-  /// sound) or exits. The explorer expands one successor per choice.
-  [[nodiscard]] std::size_t num_choices(const std::uint8_t* s,
-                                        std::size_t w) const {
-    if (phase(s, w) != Phase::kClaim) return 1;
-    if (range_next(s, w) < range_end(s, w)) return 1;  // pop
-    if (s[0] < tiles()) return 1;                      // refill
-    std::size_t cand[16];
-    return steal_candidates(s, w, cand) + 1;           // steals + exit
-  }
-
   /// Fires worker `w`'s next transition in place. Must only be called when
-  /// enabled(s, w) with choice < num_choices(s, w). Returns the first
-  /// invariant violation, if any; when `desc` is non-null it receives a
-  /// human-readable line for the schedule printout (filled for kOk steps
-  /// too).
-  Verdict apply(std::uint8_t* s, std::size_t w, std::string* desc,
-                std::size_t choice = 0) const {
+  /// enabled(s, w). Returns the first invariant violation, if any; when
+  /// `desc` is non-null it receives a human-readable line for the schedule
+  /// printout (filled for kOk steps too).
+  Verdict apply(std::uint8_t* s, std::size_t w, std::string* desc) const {
     switch (phase(s, w)) {
-      case Phase::kClaim:
-        return claim_round(s, w, desc, choice);
+      case Phase::kClaim: {
+        if (s[0] >= tiles()) {
+          set_phase(s, w, Phase::kDone);
+          note(desc, w, "exits (sigma exhausted)");
+          return Verdict::kOk;
+        }
+        const std::uint8_t grant = s[0]++;
+        const std::uint8_t serial =
+            mut_ == Mutation::kSigmaInversion
+                ? static_cast<std::uint8_t>(tiles() - 1 - grant)
+                : grant;
+        wserial(s, w) = serial;
+        set_phase(s, w, Phase::kCheckFast);
+        if (desc != nullptr) {
+          const auto [ti, tj] = grid_.tile_of_serial(serial);
+          char buf[96];
+          std::snprintf(buf, sizeof buf,
+                        "claims serial %u -> tile (%zu,%zu)", serial, ti, tj);
+          note(desc, w, buf);
+        }
+        return Verdict::kOk;
+      }
 
       case Phase::kCheckFast: {
         const auto [ti, tj] = grid_.tile_of_serial(wserial(s, w));
@@ -523,12 +481,12 @@ class Model {
 
   /// Sorts the worker records so symmetric states share one representative.
   void canonicalize(std::uint8_t* s) const {
-    std::array<std::array<std::uint8_t, kWRec>, 16> recs;
+    std::array<std::array<std::uint8_t, 3>, 16> recs;
     for (std::size_t w = 0; w < nw_; ++w)
-      std::copy(s + 1 + kWRec * w, s + 1 + kWRec * (w + 1), recs[w].begin());
+      std::copy(s + 1 + 3 * w, s + 1 + 3 * w + 3, recs[w].begin());
     std::sort(recs.begin(), recs.begin() + nw_);
     for (std::size_t w = 0; w < nw_; ++w)
-      std::copy(recs[w].begin(), recs[w].end(), s + 1 + kWRec * w);
+      std::copy(recs[w].begin(), recs[w].end(), s + 1 + 3 * w);
   }
 
   /// Stable permutation that canonicalize() would apply: perm[slot] = the
@@ -537,127 +495,35 @@ class Model {
   void canonical_perm(const std::uint8_t* s, std::size_t* perm) const {
     for (std::size_t w = 0; w < nw_; ++w) perm[w] = w;
     std::stable_sort(perm, perm + nw_, [&](std::size_t a, std::size_t b) {
-      return std::lexicographical_compare(
-          s + 1 + kWRec * a, s + 1 + kWRec * (a + 1), s + 1 + kWRec * b,
-          s + 1 + kWRec * (b + 1));
+      return std::lexicographical_compare(s + 1 + 3 * a, s + 1 + 3 * a + 3,
+                                          s + 1 + 3 * b, s + 1 + 3 * b + 3);
     });
   }
 
  private:
   [[nodiscard]] std::size_t tile_base(std::size_t t) const {
-    return 1 + kWRec * nw_ + 3 * t;
+    return 1 + 3 * nw_ + 3 * t;
   }
   [[nodiscard]] std::uint8_t tflags(const std::uint8_t* s,
                                     std::size_t t) const {
     return s[tile_base(t)];
   }
   [[nodiscard]] std::uint8_t& wserial(std::uint8_t* s, std::size_t w) const {
-    return s[1 + kWRec * w + 1];
+    return s[1 + 3 * w + 1];
   }
   [[nodiscard]] std::uint8_t wserial(const std::uint8_t* s,
                                      std::size_t w) const {
-    return s[1 + kWRec * w + 1];
+    return s[1 + 3 * w + 1];
   }
   [[nodiscard]] std::uint8_t& wwalk(std::uint8_t* s, std::size_t w) const {
-    return s[1 + kWRec * w + 2];
+    return s[1 + 3 * w + 2];
   }
   [[nodiscard]] std::uint8_t wwalk(const std::uint8_t* s,
                                    std::size_t w) const {
-    return s[1 + kWRec * w + 2];
-  }
-  [[nodiscard]] std::uint8_t& wrnext(std::uint8_t* s, std::size_t w) const {
-    return s[1 + kWRec * w + 3];
-  }
-  [[nodiscard]] std::uint8_t& wrend(std::uint8_t* s, std::size_t w) const {
-    return s[1 + kWRec * w + 4];
+    return s[1 + 3 * w + 2];
   }
   void set_phase(std::uint8_t* s, std::size_t w, Phase p) const {
-    s[1 + kWRec * w] = static_cast<std::uint8_t>(p);
-  }
-
-  /// Steal victims of `thief`: every other worker holding a non-empty
-  /// range, ordered by record *value* (not index) so the choice numbering
-  /// is stable under the worker permutations symmetry reduction applies.
-  /// Ties (identical records) lead to identical canonical successors, so
-  /// which one replay picks is immaterial.
-  std::size_t steal_candidates(const std::uint8_t* s, std::size_t thief,
-                               std::size_t out[16]) const {
-    std::size_t n = 0;
-    for (std::size_t w = 0; w < nw_; ++w)
-      if (w != thief && range_next(s, w) < range_end(s, w)) out[n++] = w;
-    std::stable_sort(out, out + n, [&](std::size_t a, std::size_t b) {
-      return std::lexicographical_compare(
-          s + 1 + kWRec * a, s + 1 + kWRec * (a + 1), s + 1 + kWRec * b,
-          s + 1 + kWRec * (b + 1));
-    });
-    return n;
-  }
-
-  /// One claim round of sathost::ClaimScheduler::next: pop the own range,
-  /// else draw a chunk off the cursor, else steal a victim's tail half or
-  /// exit. Each arm is one atomic RMW in the engine (the pop/refill
-  /// *checks* read only state no other worker can grow, so fusing them
-  /// with the RMW behind them is exact, not a reduction).
-  Verdict claim_round(std::uint8_t* s, std::size_t w, std::string* desc,
-                      std::size_t choice) const {
-    if (wrnext(s, w) < wrend(s, w)) {  // pop
-      const std::uint8_t at = wrnext(s, w)++;
-      const std::uint8_t serial =
-          mut_ == Mutation::kSigmaInversion
-              ? static_cast<std::uint8_t>(tiles() - 1 - at)
-              : at;
-      wserial(s, w) = serial;
-      set_phase(s, w, Phase::kCheckFast);
-      if (desc != nullptr) {
-        const auto [ti, tj] = grid_.tile_of_serial(serial);
-        char buf[96];
-        std::snprintf(buf, sizeof buf, "pops serial %u -> tile (%zu,%zu)",
-                      serial, ti, tj);
-        note(desc, w, buf);
-      }
-      return Verdict::kOk;
-    }
-    if (s[0] < tiles()) {  // refill
-      const std::uint8_t base = s[0];
-      const std::uint8_t take = static_cast<std::uint8_t>(
-          std::min<std::size_t>(chunk_, tiles() - base));
-      s[0] = static_cast<std::uint8_t>(base + take);
-      wrnext(s, w) = base;
-      wrend(s, w) = static_cast<std::uint8_t>(base + take);
-      if (desc != nullptr) {
-        char buf[96];
-        std::snprintf(buf, sizeof buf,
-                      "draws range [%u, %u) off the cursor", base,
-                      base + take);
-        note(desc, w, buf);
-      }
-      return Verdict::kOk;
-    }
-    std::size_t cand[16];
-    const std::size_t n = steal_candidates(s, w, cand);
-    if (choice < n) {  // steal the tail half of the chosen victim
-      const std::size_t v = cand[choice];
-      const std::uint8_t vnext = wrnext(s, v);
-      const std::uint8_t vend = wrend(s, v);
-      const std::uint8_t mid =
-          static_cast<std::uint8_t>(vnext + (vend - vnext) / 2);
-      wrnext(s, w) = mid;
-      wrend(s, w) = vend;
-      if (mut_ != Mutation::kRacySteal) wrend(s, v) = mid;
-      if (desc != nullptr) {
-        char buf[96];
-        std::snprintf(buf, sizeof buf,
-                      "steals range [%u, %u) from w%zu%s", mid, vend, v,
-                      mut_ == Mutation::kRacySteal
-                          ? " -- victim keeps it (lost update)"
-                          : "");
-        note(desc, w, buf);
-      }
-      return Verdict::kOk;
-    }
-    set_phase(s, w, Phase::kDone);
-    note(desc, w, "exits (cursor drained, no range claimed)");
-    return Verdict::kOk;
+    s[1 + 3 * w] = static_cast<std::uint8_t>(p);
   }
 
   /// (GLOBAL flag threshold, GLOBAL value) of a walk phase.
@@ -901,7 +767,6 @@ class Model {
   satalgo::TileGrid grid_;
   std::size_t nw_;
   Mutation mut_;
-  std::uint8_t chunk_ = 1;
 };
 
 }  // namespace satmc

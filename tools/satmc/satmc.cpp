@@ -44,8 +44,7 @@ struct MutationCase {
 
 // Smallest configurations that expose each seeded bug (2×2 needs a third
 // worker for the read bugs: with two workers no in-flight LRS is ever read
-// before its writer finishes; 2×2 with two workers suffices for the steal
-// lost-update, whose double-popped serial lands on one tile's dst twice).
+// before its writer finishes).
 constexpr MutationCase kMutationCases[] = {
     {Mutation::kFlagBeforeData, "flag-before-data", 2, 2, 3,
      Verdict::kReadUnwritten},
@@ -53,7 +52,6 @@ constexpr MutationCase kMutationCases[] = {
      Verdict::kDeadlock},
     {Mutation::kDroppedRelease, "dropped-release", 2, 2, 3,
      Verdict::kReadUnreleased},
-    {Mutation::kRacySteal, "racy-steal", 2, 2, 2, Verdict::kDstRewrite},
 };
 
 Mutation parse_mutation(const std::string& name) {
@@ -145,16 +143,8 @@ void dump_model() {
     {"axis": "R", "local": "GLS", "global": "GS"}
   ],
   "fast_guard": [["R", "GRS"], ["C", "GCS"], ["R", "GS"]],
-  "claim": {
-    "scheme": "chunked-range-steal",
-    "chunk": "ceil(total / (2 * workers))",
-    "pop": "own-span cas",
-    "refill": "cursor fetch_add",
-    "steal": "tail-half cas",
-    "cursor": "work_counter_"
-  },
-  "orders": {"publish": "release", "observe": "acquire", "claim": "relaxed",
-             "steal": "relaxed"}
+  "claim": {"counter": "work_counter", "step": 1},
+  "orders": {"publish": "release", "observe": "acquire", "claim": "relaxed"}
 }
 )json");
 }
