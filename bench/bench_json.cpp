@@ -5,8 +5,10 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <limits>
 #include <system_error>
+#include <thread>
 
 #ifndef SATLIB_GIT_REV
 #define SATLIB_GIT_REV "unknown"
@@ -40,6 +42,31 @@ double time_best_ms(int iterations, const void* tag, void (*fn)(const void*)) {
 
 const char* git_rev() { return SATLIB_GIT_REV; }
 
+std::string cpu_model(const std::string& cpuinfo_path) {
+  std::ifstream in(cpuinfo_path);
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon == std::string::npos) continue;
+    const std::size_t from = line.find_first_not_of(" \t", colon + 1);
+    if (from != std::string::npos) return line.substr(from);
+  }
+  return "unknown";
+}
+
+namespace {
+
+std::string json_escape(const std::string& s) {
+  std::string out;
+  for (const char c : s) {
+    if (c == '"' || c == '\\') out += '\\';
+    if (static_cast<unsigned char>(c) >= 0x20) out += c;
+  }
+  return out;
+}
+
+}  // namespace
+
 bool write_json(const std::string& path, const std::vector<Record>& results,
                 const char* simd_backend, bool smoke) {
   // A missing parent directory used to make fopen fail and the run vanish;
@@ -67,9 +94,13 @@ bool write_json(const std::string& path, const std::vector<Record>& results,
                "  \"schema\": \"satlib-bench-v2\",\n"
                "  \"git_rev\": \"%s\",\n"
                "  \"simd_backend\": \"%s\",\n"
+               "  \"machine\": {\"nproc\": %u, \"cpu_model\": \"%s\", "
+               "\"simd_backend\": \"%s\"},\n"
                "  \"smoke\": %s,\n"
                "  \"results\": [\n",
-               git_rev(), simd_backend, smoke ? "true" : "false");
+               git_rev(), simd_backend, std::thread::hardware_concurrency(),
+               json_escape(cpu_model()).c_str(), simd_backend,
+               smoke ? "true" : "false");
   for (std::size_t k = 0; k < results.size(); ++k) {
     const Record& r = results[k];
     std::fprintf(f,

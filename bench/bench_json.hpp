@@ -7,6 +7,7 @@
 //     "schema": "satlib-bench-v2",
 //     "git_rev": "<short sha or 'unknown'>",
 //     "simd_backend": "avx2" | "sse2" | "scalar",
+//     "machine": { "nproc", "cpu_model", "simd_backend" },
 //     "smoke": true | false,
 //     "results": [ { "name", "impl", "dtype", "n", "iterations",
 //                    "wall_ms", "melem_per_s", "ns_per_elem",
@@ -17,6 +18,9 @@
 // of the run's metric registry, accumulated over all timed iterations.
 // "overhead_vs_copy_pct" is the row's wall time over a plain copy of the
 // same bytes on the same machine, in percent (the paper's yardstick).
+// "machine" names the box the rows were measured on, so two ledgers are
+// never compared raw across machines by accident (tools/ledger_diff.py
+// prints both descriptors).
 #pragma once
 
 #include <cstddef>
@@ -63,9 +67,16 @@ double time_best_ms(int iterations, F&& fn) {
 /// (backend). Exposed for the file header and for run_benches logging.
 [[nodiscard]] const char* git_rev();
 
+/// The "model name" of the first CPU listed in `cpuinfo_path`, or "unknown"
+/// when the file is absent or names no model.
+[[nodiscard]] std::string cpu_model(
+    const std::string& cpuinfo_path = "/proc/cpuinfo");
+
 /// Writes the ledger to `path` (overwriting), creating missing parent
-/// directories first. On I/O failure prints a diagnostic naming the path to
-/// stderr and returns false — a run is never dropped silently.
+/// directories first. The header's "machine" object records
+/// std::thread::hardware_concurrency(), cpu_model() and `simd_backend`.
+/// On I/O failure prints a diagnostic naming the path to stderr and
+/// returns false — a run is never dropped silently.
 bool write_json(const std::string& path, const std::vector<Record>& results,
                 const char* simd_backend, bool smoke);
 

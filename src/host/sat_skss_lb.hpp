@@ -91,6 +91,7 @@
 #include "obs/trace.hpp"
 #include "sat/storage.hpp"
 #include "sat/tiles.hpp"
+#include "util/large_alloc.hpp"
 #include "util/span2d.hpp"
 
 namespace sathost {
@@ -106,8 +107,8 @@ struct SkssLbOptions {
   /// run_persistent) — correctness never depends on the count.
   std::size_t workers = 0;
   /// Optional observability (not owned): host.lookback.{depth,flag_wait_us,
-  /// tiles_retired,fastpath_tiles,overlap_tiles} metrics and one trace span
-  /// per tile.
+  /// tiles_retired,fastpath_tiles,overlap_tiles,tile_w} metrics and one
+  /// trace span per tile.
   obs::Registry* metrics = nullptr;
   obs::TraceSink* trace = nullptr;
   /// Test hook, called right after a worker claims each tile serial (used
@@ -117,10 +118,21 @@ struct SkssLbOptions {
   std::function<void(std::size_t serial)> tile_hook;
 };
 
-/// Budget for one W² slow-path staging tile: small enough to stay
-/// L2-resident, and the most a thread keeps across engine calls
-/// (detail::TileArena::tile).
-inline constexpr std::size_t kStagingTileBytes = std::size_t{1} << 20;
+namespace detail {
+/// Bytes per OS page: the width of a page-wide tile row, and the alignment
+/// of the first-touch arenas below.
+inline constexpr std::size_t kPageBytes = 4096;
+}  // namespace detail
+
+/// L2 budget for one W² slow-path staging tile (auto_tile_w's L2 cap).
+inline constexpr std::size_t kL2StagingBytes = std::size_t{1} << 20;
+
+/// Tile width whose rows span exactly one page: W·sizeof(T) = kPageBytes,
+/// i.e. 1024 for a 4-byte T and 512 for an 8-byte T.
+template <class T>
+constexpr std::size_t page_tile_w() {
+  return detail::kPageBytes / sizeof(T);
+}
 
 /// The tile width SkssLbOptions::tile_w = 0 picks for a rows×cols image of
 /// T on `workers` workers: about one tile column per worker,
@@ -134,12 +146,21 @@ inline constexpr std::size_t kStagingTileBytes = std::size_t{1} << 20;
 ///     fill, every dense tile takes the fast path, and bigger tiles keep
 ///     its sweep on long contiguous runs (at ≤4096² f32 the whole matrix is
 ///     one tile, the 1R1W limit case).
-///   - L2 cap, with more than one worker: a W² slow-path staging tile must
-///     stay L2-resident (W²·sizeof(T) ≤ 1 MiB ⇒ W ≤ 512 for a 4-byte T),
-///     rounded down to a multiple of 64 elements so every tile column
-///     starts on a cache line. Several workers on one image make a
-///     wavefront, and small tiles both fill it sooner and bound what a
-///     look-back tile stages.
+///   - With more than one worker, page-wide tiles (page_tile_w<T>) when the
+///     image holds at least 2·workers of them along each side. Every
+///     tile-row segment then covers one whole page, where a narrower one
+///     starts a new page every few KiB (a TLB walk and a hardware-prefetch
+///     restart each time): 12288² f32 on 4 workers ran 39.0 ms at W = 1024
+///     against 48.3 ms at W = 512. Two tiles per worker per side keep
+///     the anti-diagonals longer than the worker count for most of the
+///     sweep, so the fast path stays hot.
+///   - Otherwise, with more than one worker, an L2 cap: a W² slow-path
+///     staging tile must stay L2-resident (W²·sizeof(T) ≤ kL2StagingBytes
+///     ⇒ W ≤ 512 for a 4-byte T), rounded down to a multiple of 64
+///     elements so every tile column starts on a cache line. Small tiles
+///     fill a short wavefront sooner and bound what a look-back tile
+///     stages: at 4096² f32 on 4 workers, W = 512 ran 4.33 ms against
+///     7.85 ms at W = 1024.
 ///
 /// Never below 128 (diagonal-major order is cache-hostile at small W).
 template <class T>
@@ -151,8 +172,10 @@ constexpr std::size_t auto_tile_w(std::size_t rows, std::size_t cols,
   std::size_t w = std::max(kMinW, (std::max(rows, cols) + nw - 1) / nw);
   w = std::min(w, std::max(kMinW, kAccRowBytes / sizeof(T)));
   if (nw > 1) {
+    if (std::min(rows, cols) / page_tile_w<T>() >= 2 * nw)
+      return page_tile_w<T>();
     std::size_t l2 = 64;
-    while ((l2 + 64) * (l2 + 64) * sizeof(T) <= kStagingTileBytes) l2 += 64;
+    while ((l2 + 64) * (l2 + 64) * sizeof(T) <= kL2StagingBytes) l2 += 64;
     w = std::min(w, std::max(kMinW, l2));
   }
   return w;
@@ -187,9 +210,6 @@ void simd_offset_store(const T* a, const T* off, T b, T* dst, std::size_t n,
   for (; j < n; ++j) dst[j] = a[j] + b + off[j];
 }
 
-/// Bytes per OS page, for the first-touch arena placement below.
-inline constexpr std::size_t kPageBytes = 4096;
-
 /// Per-worker scratch arena: page-aligned, first-touched by the owning
 /// worker thread. Under the first-touch NUMA policy the OS backs a page on
 /// the node of the thread that first *writes* it, so the arena is
@@ -201,8 +221,10 @@ inline constexpr std::size_t kPageBytes = 4096;
 /// first slow-path tile — a worker whose every tile takes the fast path
 /// (always true with one worker) never touches it. Faulting in a fresh
 /// buffer costs more than sweeping the tile (0.4 ms for 1 MiB on a 4-core
-/// KVM Xeon), so a buffer of up to kStagingTileBytes is kept per thread
-/// across engine calls; a wider explicit tile_w gets one per call. The
+/// KVM Xeon), so each thread keeps its buffer across engine calls for
+/// tiles up to page-wide (page_tile_w<T>: 4 MiB for a 4-byte T); a wider
+/// explicit tile_w gets one per call. Both come from satutil::large_array,
+/// so from 2 MiB up they are huge-page-backed where the OS allows. The
 /// accumulator row and the tile buffer hold T (what the scan kernels
 /// produce); the three prefix rows hold S, the type the look-back sums are
 /// published in.
@@ -224,18 +246,18 @@ class TileArena {
 
   /// The W² tile buffer, faulted on first slow-path use.
   T* tile() {
-    const std::size_t bytes = w_ * w_ * sizeof(T);
-    if (bytes <= kStagingTileBytes) {
-      thread_local Block kept;
-      thread_local std::size_t kept_bytes = 0;
-      if (kept_bytes < bytes) {
-        kept = alloc_touched(bytes);
-        kept_bytes = bytes;
+    const std::size_t n = w_ * w_;
+    if (w_ <= page_tile_w<T>()) {
+      thread_local satutil::LargeArray<T> kept;
+      thread_local std::size_t kept_n = 0;
+      if (kept_n < n) {
+        kept = touched_tile(n);
+        kept_n = n;
       }
-      return reinterpret_cast<T*>(kept.get());
+      return kept.get();
     }
-    if (tile_ == nullptr) tile_ = alloc_touched(bytes);
-    return reinterpret_cast<T*>(tile_.get());
+    if (tile_ == nullptr) tile_ = touched_tile(n);
+    return tile_.get();
   }
 
  private:
@@ -256,6 +278,12 @@ class TileArena {
     return b;
   }
 
+  static satutil::LargeArray<T> touched_tile(std::size_t n) {
+    satutil::LargeArray<T> t = satutil::large_array<T>(n);
+    std::memset(t.get(), 0, n * sizeof(T));  // first touch, as above
+    return t;
+  }
+
   S* sums(std::size_t k) noexcept {
     return reinterpret_cast<S*>(rows_.get() + sums_at_) + k * w_;
   }
@@ -263,7 +291,7 @@ class TileArena {
   std::size_t w_;
   std::size_t sums_at_;  ///< byte offset of the S rows, cache-line aligned
   Block rows_;
-  Block tile_;
+  satutil::LargeArray<T> tile_;
 };
 
 /// The engine behind all four entries: `Out` is satutil::Span2d<T> (dense)
@@ -614,6 +642,9 @@ void skss_lb_engine(ThreadPool& pool,
 
 #if SATLIB_OBS_ENABLED
   if (opt.metrics != nullptr) {
+    // Which width this call ran, so a trace or ledger row shows whether
+    // auto_tile_w's page-wide rule fired.
+    opt.metrics->gauge("host.lookback.tile_w").set(static_cast<double>(w));
     std::size_t overlap = 0;
     for (const std::size_t c : overlap_count) overlap += c;
     if (obs.overlap_tiles != nullptr && overlap > 0)

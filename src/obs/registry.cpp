@@ -62,6 +62,12 @@ const std::uint64_t* Snapshot::counter(std::string_view name) const {
   return nullptr;
 }
 
+const double* Snapshot::gauge(std::string_view name) const {
+  for (const auto& [n, g] : gauges)
+    if (n == name) return &g;
+  return nullptr;
+}
+
 std::string Snapshot::to_json() const {
   std::ostringstream os;
   os << "{\"counters\":{";

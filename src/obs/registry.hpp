@@ -164,6 +164,7 @@ struct Snapshot {
   [[nodiscard]] const HistogramSnapshot* histogram(
       std::string_view name) const;
   [[nodiscard]] const std::uint64_t* counter(std::string_view name) const;
+  [[nodiscard]] const double* gauge(std::string_view name) const;
 
   /// Compact single-line JSON object:
   ///   {"counters":{...},"gauges":{...},"histograms":{"name":

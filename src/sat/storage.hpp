@@ -35,9 +35,13 @@
 // `tile*W² + p*W + q`, so every tile slot and every row inside it is
 // 64-byte aligned whenever W is a multiple of 32 — the non-temporal store
 // path in the encoder requires never mixing streamed and regular stores in
-// one cache line. Planes are allocated default-initialized and oversized
-// (one slot per tile for each width); untouched pages are never faulted in,
-// so the three widths coexist at the cost of address space, not RSS.
+// one cache line. Planes are allocated uninitialized and oversized (one
+// slot per tile for each width) through satutil::large_array, so they are
+// 2 MiB-aligned and huge-page-advised: untouched regions are never faulted
+// in, and the three widths coexist at the cost of address space, not RSS.
+// A touched region becomes resident 2 MiB at a time, though, so a store
+// whose tiles mix residual widths pays up to one 2 MiB page per width for
+// each run of neighbouring tiles that uses it.
 #pragma once
 
 #include <cstddef>
@@ -49,6 +53,7 @@
 
 #include "core/region.hpp"
 #include "util/check.hpp"
+#include "util/large_alloc.hpp"
 #include "util/simd.hpp"
 #include "util/span2d.hpp"
 
@@ -62,23 +67,6 @@ enum class Storage : std::uint8_t {
 };
 
 namespace detail {
-
-template <class U>
-struct AlignedFree {
-  void operator()(U* p) const noexcept {
-    ::operator delete[](static_cast<void*>(p), std::align_val_t{64});
-  }
-};
-
-template <class U>
-using AlignedArray = std::unique_ptr<U[], AlignedFree<U>>;
-
-/// 64-byte-aligned, default-initialized (pages stay virtual until touched).
-template <class U>
-[[nodiscard]] AlignedArray<U> aligned_array(std::size_t n) {
-  if (n == 0) return {};
-  return AlignedArray<U>(new (std::align_val_t{64}) U[n]);
-}
 
 /// Folds `row[0..n)` into the running [mn, mx] range. 8-lane AVX2 sweep for
 /// the 4-byte types (the range scan otherwise costs more than the narrow
@@ -164,16 +152,16 @@ class TiledSat {
     tc_ = (cols + w_ - 1) / w_;
     const std::size_t tiles = tr_ * tc_;
     const std::size_t slot = w_ * w_;
-    row_base_ = detail::aligned_array<Wide>(tiles * w_);
-    col_base_ = detail::aligned_array<Wide>(tiles * w_);
+    row_base_ = satutil::large_array<Wide>(tiles * w_);
+    col_base_ = satutil::large_array<Wide>(tiles * w_);
     enc_.assign(tiles, static_cast<std::uint8_t>(TileEnc::kWide));
     if constexpr (std::is_floating_point_v<T>) {
-      f32_ = detail::aligned_array<float>(tiles * slot);
+      f32_ = satutil::large_array<float>(tiles * slot);
     } else {
-      u16_ = detail::aligned_array<std::uint16_t>(tiles * slot);
-      u32_ = detail::aligned_array<std::uint32_t>(tiles * slot);
+      u16_ = satutil::large_array<std::uint16_t>(tiles * slot);
+      u32_ = satutil::large_array<std::uint32_t>(tiles * slot);
     }
-    wide_ = detail::aligned_array<Wide>(tiles * slot);
+    wide_ = satutil::large_array<Wide>(tiles * slot);
   }
 
   [[nodiscard]] std::size_t rows() const { return rows_; }
@@ -433,13 +421,13 @@ class TiledSat {
   std::size_t w_ = 0;
   std::size_t tr_ = 0;
   std::size_t tc_ = 0;
-  detail::AlignedArray<Wide> row_base_;
-  detail::AlignedArray<Wide> col_base_;
+  satutil::LargeArray<Wide> row_base_;
+  satutil::LargeArray<Wide> col_base_;
   std::vector<std::uint8_t> enc_;
-  detail::AlignedArray<std::uint16_t> u16_;
-  detail::AlignedArray<std::uint32_t> u32_;
-  detail::AlignedArray<float> f32_;
-  detail::AlignedArray<Wide> wide_;
+  satutil::LargeArray<std::uint16_t> u16_;
+  satutil::LargeArray<std::uint32_t> u32_;
+  satutil::LargeArray<float> f32_;
+  satutil::LargeArray<Wide> wide_;
 };
 
 /// region_sum on a tiled table — the same four-corner identity and guard

@@ -1,13 +1,14 @@
-// Tests for bench/bench_json.hpp: derived-rate math, the optional
-// "overhead_vs_copy_pct" and v2 "metrics" fields, and the write path —
-// which must create missing parent directories and fail loudly (never
-// silently drop a run) when the path is unusable.
+// Tests for bench/bench_json.hpp: derived-rate math, the machine
+// descriptor, the optional "overhead_vs_copy_pct" and v2 "metrics" fields,
+// and the write path — which must create missing parent directories and
+// fail loudly (never silently drop a run) when the path is unusable.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_json.hpp"
@@ -86,6 +87,38 @@ TEST(WriteJson, EmbedsMetricsObjectWhenPresent) {
       text.find("\"metrics\": {\"counters\":{\"host.pool.chunks\":12}}"),
       std::string::npos)
       << text;
+}
+
+TEST(WriteJson, NamesItsMachine) {
+  const std::string path =
+      (fs::path(testing::TempDir()) / "BENCH_machine.json").string();
+  ASSERT_TRUE(
+      satbench::write_json(path, {sample_record()}, "avx2", /*smoke=*/false));
+  const std::string text = slurp(path);
+  const std::string want =
+      "\"machine\": {\"nproc\": " +
+      std::to_string(std::thread::hardware_concurrency()) +
+      ", \"cpu_model\": \"" + satbench::cpu_model() +
+      "\", \"simd_backend\": \"avx2\"}";
+  EXPECT_NE(text.find(want), std::string::npos) << text;
+}
+
+TEST(CpuModel, FirstModelNameOrUnknown) {
+  const fs::path dir = fs::path(testing::TempDir());
+  EXPECT_EQ(satbench::cpu_model((dir / "no_such_cpuinfo").string()),
+            "unknown");
+  const std::string path = (dir / "cpuinfo_sample").string();
+  {
+    std::ofstream(path) << "processor\t: 0\n"
+                           "vendor_id\t: GenuineIntel\n"
+                           "model name\t: Test CPU @ 2.00GHz\n"
+                           "processor\t: 1\n"
+                           "model name\t: Second CPU\n";
+  }
+  EXPECT_EQ(satbench::cpu_model(path), "Test CPU @ 2.00GHz");
+  { std::ofstream(path) << "processor\t: 0\nHardware\t: board\n"; }
+  EXPECT_EQ(satbench::cpu_model(path), "unknown");
+  fs::remove(path);
 }
 
 TEST(WriteJson, FailsLoudlyWhenParentIsAFile) {

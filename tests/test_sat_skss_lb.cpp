@@ -166,8 +166,9 @@ TEST(SkssLb, WorkersExceedingPoolAndTiles) {
 }
 
 // The automatic tile width (SkssLbOptions::tile_w = 0), one row per case:
-// one worker keeps the L1-capped width, several workers also get the L2
-// cap on the W² staging tile.
+// one worker keeps the L1-capped width; several workers get page-wide tiles
+// when the image holds at least 2·workers of them along each side, and the
+// L2 cap on the W² staging tile otherwise.
 struct AutoWidthCase {
   std::size_t rows, cols, workers, elem_bytes, want;
 };
@@ -190,40 +191,83 @@ TEST(SkssLb, AutoTileWidthTable) {
       {480, 640, 1, 4, 640},
       {12288, 12288, 1, 8, 2048},
       {100, 50, 1, 4, 128},
-      // Four workers: ceil(maxdim / 4), capped at W²·sizeof(T) ≤ 1 MiB.
-      {12288, 12288, 4, 4, 512},
-      {1024, 1024, 4, 4, 256},
+      // Page-wide (W·sizeof(T) = 4 KiB) with ≥ 2·workers tiles per side.
+      {12288, 12288, 4, 4, 1024},
+      {8192, 8192, 4, 4, 1024},
+      {12288, 12288, 4, 8, 512},
+      {4096, 4096, 2, 4, 1024},
+      // Otherwise ceil(maxdim / workers), capped at W²·sizeof(T) ≤ 1 MiB.
+      {4096, 4096, 4, 4, 512},
       {4320, 7680, 4, 4, 512},
-      {12288, 12288, 4, 8, 320},
+      {1024, 1024, 4, 4, 256},
+      {3000, 3000, 4, 8, 320},
       {1024, 1024, 4, 8, 256},
       {1000, 1000, 8, 4, 128},
-      {4096, 4096, 2, 4, 512},
   };
   for (const AutoWidthCase& c : cases)
     EXPECT_EQ(auto_w(c), c.want)
         << c.rows << "x" << c.cols << " workers=" << c.workers
         << " sizeof(T)=" << c.elem_bytes;
-  // f32 and i32 share the 4-byte caps.
-  EXPECT_EQ(sathost::auto_tile_w<std::int32_t>(12288, 12288, 4), 512u);
+  // f32 and i32 share the 4-byte widths.
+  EXPECT_EQ(sathost::auto_tile_w<std::int32_t>(12288, 12288, 4), 1024u);
+  EXPECT_EQ(sathost::auto_tile_w<std::int32_t>(4320, 7680, 4), 512u);
   EXPECT_EQ(sathost::auto_tile_w<std::int32_t>(12288, 12288, 1), 4096u);
 }
 
+/// With several workers, either the W² staging tile fits the L2 budget or
+/// the tile is page-wide with at least 2·workers tiles along each side.
+template <class T>
+void expect_within_caps(std::size_t rows, std::size_t cols,
+                        std::size_t workers) {
+  const std::size_t w = sathost::auto_tile_w<T>(rows, cols, workers);
+  const auto where = [&] {
+    return ::testing::Message() << rows << "x" << cols << " workers="
+                                << workers << " sizeof(T)=" << sizeof(T)
+                                << " W=" << w;
+  };
+  EXPECT_GE(w, 128u) << where();
+  EXPECT_LE(w * sizeof(T), 16384u) << where();
+  if (workers <= 1) return;
+  const bool l2 = w * w * sizeof(T) <= sathost::kL2StagingBytes;
+  const bool page_wide = w * sizeof(T) == 4096 &&
+                         std::min(rows, cols) / w >= 2 * workers;
+  EXPECT_TRUE(l2 || page_wide) << where();
+}
+
 TEST(SkssLb, AutoTileWidthStaysWithinItsCaps) {
-  const std::size_t sizes[] = {1, 7, 128, 500, 1024, 4097, 12288, 65536};
+  const std::size_t sizes[] = {1,    7,    128,  500,   1024,
+                               4097, 8192, 8191, 12288, 65536};
   const std::size_t worker_counts[] = {0, 1, 2, 3, 4, 8, 64};
   for (const std::size_t n : sizes)
     for (const std::size_t workers : worker_counts) {
-      const std::size_t w4 = sathost::auto_tile_w<float>(n, n, workers);
-      const std::size_t w8 = sathost::auto_tile_w<double>(n, n, workers);
-      EXPECT_GE(w4, 128u);
-      EXPECT_GE(w8, 128u);
-      EXPECT_LE(w4 * sizeof(float), 16384u);
-      EXPECT_LE(w8 * sizeof(double), 16384u);
-      if (workers > 1) {
-        EXPECT_LE(w4 * w4 * sizeof(float), std::size_t{1} << 20);
-        EXPECT_LE(w8 * w8 * sizeof(double), std::size_t{1} << 20);
-      }
+      expect_within_caps<float>(n, n, workers);
+      expect_within_caps<double>(n, n, workers);
+      expect_within_caps<float>(n, 7680, workers);
+      expect_within_caps<double>(4320, n, workers);
     }
+}
+
+TEST(SkssLb, PageWideAutoTilesMatchSequential) {
+  // 4096² on 2 workers is where the page-wide rule first fires for a
+  // 4-byte T (4 tiles per side ≥ 2·2). i32 input, so the table must be
+  // bit-exact; values below 8 keep every prefix sum under 2^31.
+  constexpr std::size_t kN = 4096;
+  const auto input = Matrix<std::int32_t>::random(kN, kN, 21, 0, 7);
+  Matrix<std::int32_t> ref(kN, kN), got(kN, kN);
+  sathost::sat_sequential<std::int32_t>(input.view(), ref.view());
+  sathost::ThreadPool pool(2);
+  obs::Registry reg;
+  sathost::SkssLbOptions opt;
+  opt.workers = 2;
+  opt.metrics = &reg;
+  sathost::sat_skss_lb<std::int32_t>(pool, input.view(), got.view(), opt);
+  ASSERT_TRUE(got == ref);
+#if SATLIB_OBS_ENABLED
+  const obs::Snapshot snap = reg.snapshot();
+  const double* w = snap.gauge("host.lookback.tile_w");
+  ASSERT_NE(w, nullptr);
+  EXPECT_EQ(*w, 1024.0);
+#endif
 }
 
 TEST(SkssLb, EmptyMatrixIsNoop) {
@@ -351,6 +395,9 @@ TEST(SkssLb, PublishesLookbackMetrics) {
       snap.histogram("host.lookback.depth");
   ASSERT_NE(depth, nullptr);
   EXPECT_GT(depth->count, 0u);
+  const double* tile_w = snap.gauge("host.lookback.tile_w");
+  ASSERT_NE(tile_w, nullptr);
+  EXPECT_EQ(*tile_w, 64.0);
 #endif
 }
 

@@ -2,7 +2,8 @@
 // get bit-exact results vs the sat_sequential oracle, a full admission
 // queue replies with the documented OVERLOADED code instead of hanging,
 // draining resumes acceptance, the HTTP shim serves the obs registry, and
-// per-request trace IDs come out as 'b'/'e' async events.
+// per-request trace IDs come out as 'b'/'e' async events, each request's
+// 'b' ahead of its 'e'.
 //
 // Every server binds port 0 (ephemeral), so parallel ctest runs never
 // collide.
@@ -16,6 +17,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstring>
+#include <map>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -376,6 +378,113 @@ TEST(SatdServer, TraceIdsComeOutAsAsyncEvents) {
   EXPECT_NE(json.find("\"ph\":\"e\""), std::string::npos);
   EXPECT_NE(json.find("\"id\":\"0xfeedbeef\""), std::string::npos);
   EXPECT_NE(json.find("\"cat\":\"satd\""), std::string::npos);
+}
+
+/// One satd request event from a written trace: its phase, id and time,
+/// plus whether the span was closed as an OVERLOADED rejection.
+struct RequestEvent {
+  char ph = 0;
+  std::string id;
+  double ts = 0.0;
+  bool overloaded = false;
+};
+
+/// The "request" 'b'/'e' events of a TraceSink::write() output, in event
+/// order (the writer puts one event per line).
+std::vector<RequestEvent> request_events(const std::string& json) {
+  const auto field = [](const std::string& line, const std::string& key) {
+    const std::string tag = "\"" + key + "\":";
+    const std::size_t at = line.find(tag);
+    if (at == std::string::npos) return std::string();
+    std::size_t from = at + tag.size();
+    std::size_t to = line.find_first_of(",}", from);
+    if (line[from] == '"') to = line.find('"', ++from);
+    return line.substr(from, to - from);
+  };
+  std::vector<RequestEvent> out;
+  std::istringstream is(json);
+  for (std::string line; std::getline(is, line);) {
+    const std::string ph = field(line, "ph");
+    if (field(line, "name") != "request" || field(line, "cat") != "satd" ||
+        (ph != "b" && ph != "e"))
+      continue;
+    RequestEvent e;
+    e.ph = ph[0];
+    e.id = field(line, "id");
+    e.ts = std::stod(field(line, "ts"));
+    e.overloaded = line.find("\"overloaded\":true") != std::string::npos;
+    out.push_back(e);
+  }
+  return out;
+}
+
+TEST(SatdServer, TraceSpansOpenBeforeTheyClose) {
+  // A pipelined burst of tiny requests lets the dispatcher finish a job
+  // while the reader is still admitting the next ones; a queue this short
+  // also turns some of them away. Either way, every request's 'b' must
+  // come before its 'e' in the trace, by position and by timestamp.
+  obs::TraceSink trace;
+  satd::ServerOptions opts;
+  opts.trace = &trace;
+  opts.queue_cap = 4;
+  satd::Server server(opts);
+  ASSERT_TRUE(server.start());
+
+  satd::Client client;
+  ASSERT_TRUE(client.connect(server.port()));
+  constexpr std::uint64_t kBurst = 64;
+  const auto input = sat::Matrix<std::int32_t>::random(8, 8, 3);
+  const auto payload =
+      satd::encode_matrix_payload(8, 8, Dtype::kI32, input.view().data());
+  for (std::uint64_t id = 1; id <= kBurst; ++id)
+    ASSERT_TRUE(client.send(Type::kCompute, id, payload));
+  std::size_t overloaded = 0;
+  for (std::uint64_t i = 0; i < kBurst; ++i) {
+    Frame reply;
+    ASSERT_TRUE(client.recv(reply));
+    if (reply.type == Type::kError) {
+      satd::ErrorPayload err;
+      ASSERT_TRUE(satd::parse_error_payload(reply.payload, err));
+      ASSERT_EQ(err.code, ErrorCode::kOverloaded);
+      ++overloaded;
+    } else {
+      ASSERT_EQ(reply.type, Type::kResult);
+    }
+  }
+  server.stop();
+
+  std::ostringstream os;
+  trace.write(os);
+  struct Span {
+    int begins = 0, ends = 0;
+    std::size_t begin_at = 0, end_at = 0;
+    double begin_ts = 0.0, end_ts = 0.0;
+  };
+  std::map<std::string, Span> spans;
+  std::size_t overloaded_ends = 0;
+  const std::vector<RequestEvent> events = request_events(os.str());
+  for (std::size_t k = 0; k < events.size(); ++k) {
+    Span& s = spans[events[k].id];
+    if (events[k].ph == 'b') {
+      ++s.begins;
+      s.begin_at = k;
+      s.begin_ts = events[k].ts;
+    } else {
+      ++s.ends;
+      s.end_at = k;
+      s.end_ts = events[k].ts;
+      overloaded_ends += events[k].overloaded ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(spans.size(), kBurst);
+  for (const auto& [id, s] : spans) {
+    EXPECT_EQ(s.begins, 1) << id;
+    EXPECT_EQ(s.ends, 1) << id;
+    EXPECT_LT(s.begin_at, s.end_at) << id;
+    EXPECT_LE(s.begin_ts, s.end_ts) << id;
+  }
+  // A refused request's span is closed on the spot, tagged overloaded.
+  EXPECT_EQ(overloaded_ends, overloaded);
 }
 
 TEST(SatdServer, ShutdownFrameDrainsAndRejectsNewWork) {

@@ -2,12 +2,13 @@
 //
 // Workers claim tiles one at a time off the engine's shared counter, as the
 // paper's blocks do, so the tiles in flight are consecutive serials whose
-// look-back predecessors are usually already published, and the auto tile
-// width (sathost::auto_tile_w) gives two workers 512-wide tiles to share
-// the image. This test pins the headline claim — two workers beat one on
-// a 4096x4096 image — as a ctest that SKIPS on single-core boxes (a 1-core
-// machine can only measure oversubscription overhead, which the perf
-// ledger's skss_lb_t* rows document instead).
+// look-back predecessors are usually already published. The auto tile
+// width (sathost::auto_tile_w) gives two workers page-wide 1024-wide tiles
+// at 4096² i32 (4 tiles per side ≥ 2·2), while one worker sweeps the whole
+// matrix as one 4096-wide tile. This test pins the headline claim — two
+// workers beat one on a 4096x4096 image — as a ctest that SKIPS on
+// single-core boxes (a 1-core machine can only measure oversubscription
+// overhead, which the perf ledger's skss_lb_t* rows document instead).
 //
 // The input is i32 so the two outputs must be bit-equal by the engine's
 // contract: integral tables are exact whatever the worker count, while f32
@@ -22,6 +23,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <thread>
 
@@ -76,6 +78,8 @@ TEST(SkssScaling, TwoWorkersBeatOneAt4096) {
     if (i == 0 || t2 < best2) best2 = t2;
   }
 
+  std::printf("best of %d: t1=%.3f ms t2=%.3f ms (t2/t1 = %.2f)\n", kIters,
+              best1, best2, best2 / best1);
   EXPECT_LT(best2, best1)
       << "2 workers must beat 1 at " << n << "x" << n << ": t1=" << best1
       << "ms t2=" << best2 << "ms";

@@ -238,6 +238,10 @@ TEST(TiledResidual, LbEncoderPublishesStorageMetrics) {
   ASSERT_NE(db, nullptr);
   EXPECT_EQ(*rb, t.residual_bytes());
   EXPECT_EQ(*db, t.dense_bytes());
+  // The engine's width gauge reports the store's W for the tiled output.
+  const double* tile_w = snap.gauge("host.lookback.tile_w");
+  ASSERT_NE(tile_w, nullptr);
+  EXPECT_EQ(*tile_w, static_cast<double>(w));
 #else
   GTEST_SKIP() << "observability compiled out";
 #endif

@@ -1,11 +1,18 @@
-// Unit tests for the util module: Span2d, Rng, formatting, argparse.
+// Unit tests for the util module: Span2d, Rng, formatting, argparse,
+// large_array.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <set>
+#include <sstream>
+#include <string>
 
 #include "util/argparse.hpp"
 #include "util/check.hpp"
 #include "util/format.hpp"
+#include "util/large_alloc.hpp"
 #include "util/rng.hpp"
 #include "util/span2d.hpp"
 
@@ -16,6 +23,61 @@ using satutil::ArgParser;
 using satutil::Rng;
 using satutil::Span2d;
 using satutil::TextTable;
+
+std::uintptr_t address_of(const void* p) {
+  return reinterpret_cast<std::uintptr_t>(p);
+}
+
+TEST(LargeArray, AlignmentFollowsSizeAndZeroIsEmpty) {
+  // From 2 MiB up: 2 MiB-aligned; below: one cache line.
+  const auto huge = satutil::large_array<float>(satutil::kHugePageBytes / 4);
+  ASSERT_NE(huge, nullptr);
+  EXPECT_EQ(address_of(huge.get()) % satutil::kHugePageBytes, 0u);
+  EXPECT_EQ(huge.get_deleter().align, satutil::kHugePageBytes);
+  const auto odd = satutil::large_array<std::uint16_t>(3'000'001);
+  EXPECT_EQ(address_of(odd.get()) % satutil::kHugePageBytes, 0u);
+  const auto below =
+      satutil::large_array<std::uint8_t>(satutil::kHugePageBytes - 1);
+  ASSERT_NE(below, nullptr);
+  EXPECT_EQ(address_of(below.get()) % 64, 0u);
+  EXPECT_EQ(below.get_deleter().align, 64u);
+  const auto tiny = satutil::large_array<double>(1);
+  EXPECT_EQ(address_of(tiny.get()) % 64, 0u);
+  // The whole requested range is usable storage.
+  odd[3'000'000] = 7;
+  below[satutil::kHugePageBytes - 2] = 1;
+  EXPECT_EQ(odd[3'000'000], 7);
+  // Zero elements: an empty array, no allocation.
+  EXPECT_EQ(satutil::large_array<int>(0), nullptr);
+  EXPECT_EQ(satutil::large_array<double>(0), nullptr);
+}
+
+TEST(LargeArray, HugeBuffersAreAdvisedWhereTheKernelSupportsIt) {
+  // Linux with transparent huge pages only: the mapping holding a ≥ 2 MiB
+  // array carries the MADV_HUGEPAGE flag ("hg" in /proc/self/smaps).
+  if (!std::filesystem::exists("/sys/kernel/mm/transparent_hugepage/enabled"))
+    GTEST_SKIP() << "no transparent huge pages on this system";
+  const auto a = satutil::large_array<std::uint32_t>(3 << 20);
+  const std::uintptr_t at = address_of(a.get());
+  std::ifstream smaps("/proc/self/smaps");
+  ASSERT_TRUE(smaps) << "no /proc/self/smaps";
+  bool inside = false, found = false;
+  for (std::string line; std::getline(smaps, line);) {
+    std::uintptr_t lo = 0, hi = 0;
+    char dash = 0;
+    std::istringstream head(line);
+    if (head >> std::hex >> lo >> dash >> hi && dash == '-') {
+      inside = lo <= at && at < hi;
+      continue;
+    }
+    if (inside && line.rfind("VmFlags:", 0) == 0) {
+      found = true;
+      EXPECT_NE(line.find(" hg"), std::string::npos) << line;
+      break;
+    }
+  }
+  EXPECT_TRUE(found) << "no mapping holds the array";
+}
 
 TEST(Span2d, IndexingAndRows) {
   std::vector<int> v(12);

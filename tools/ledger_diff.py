@@ -23,6 +23,10 @@ slower machine cancels out and only relative engine-vs-engine movement
 remains. The reference row must be present in both ledgers; it is excluded
 from the comparison (its ratio is 1.0 by construction).
 
+Each ledger's header names its machine (`"machine": {"nproc", "cpu_model",
+"simd_backend"}`). Both descriptors are printed before the rows, with a
+note when they differ; the note never changes the exit code.
+
 CI runs the raw cross-machine diff `--warn-only` (informational), and the
 normalized diff on a few named headline rows as an enforcing gate — a >10%
 relative slip of an engine against the scalar baseline is a real
@@ -69,6 +73,34 @@ def load_rows(path: Path) -> dict[str, dict]:
     if not rows:
         raise ValueError(f"{path}: ledger has no named result rows")
     return rows
+
+
+MACHINE_FIELDS = ("nproc", "cpu_model", "simd_backend")
+
+
+def load_machine(path: Path) -> dict | None:
+    """The ledger's "machine" descriptor, or None when it has none."""
+    machine = json.loads(path.read_text(encoding="utf-8")).get("machine")
+    return machine if isinstance(machine, dict) else None
+
+
+def describe_machine(machine: dict | None) -> str:
+    if machine is None:
+        return "(no machine descriptor)"
+    return ", ".join(f"{k}={machine.get(k)!r}" for k in MACHINE_FIELDS)
+
+
+def machine_lines(base: dict | None, new: dict | None) -> list[str]:
+    """Both descriptors, plus a note when they differ (or one is missing)."""
+    lines = [f"ledger_diff: BASE machine: {describe_machine(base)}",
+             f"ledger_diff: NEW  machine: {describe_machine(new)}"]
+    same = base is not None and new is not None and \
+        all(base.get(k) == new.get(k) for k in MACHINE_FIELDS)
+    if not same:
+        lines.append("ledger_diff: note: the ledgers do not name the same "
+                     "machine, so raw figures do not compare; prefer "
+                     "--normalize-to")
+    return lines
 
 
 def normalize_rows(rows: dict[str, dict], ref_name: str) -> dict[str, dict]:
@@ -203,6 +235,19 @@ def self_test() -> int:
     except ValueError:
         pass
 
+    box = {"nproc": 4, "cpu_model": "Xeon", "simd_backend": "avx2"}
+    if any("note:" in ln for ln in machine_lines(box, dict(box))):
+        failures += 1
+        print("self-test FAIL: identical machines must not get a note")
+    for other in ({**box, "nproc": 1}, {**box, "cpu_model": "EPYC"}, None):
+        lines = machine_lines(box, other)
+        if len(lines) != 3 or "note:" not in lines[2]:
+            failures += 1
+            print(f"self-test FAIL: {other!r} vs {box!r} must get a note")
+    if "(no machine descriptor)" not in machine_lines(None, box)[0]:
+        failures += 1
+        print("self-test FAIL: a missing descriptor must be named")
+
     print(f"ledger_diff --self-test: {failures} failures")
     return 0 if failures == 0 else 1
 
@@ -234,6 +279,9 @@ def main() -> int:
     try:
         base = load_rows(Path(args.base))
         new = load_rows(Path(args.new))
+        for ln in machine_lines(load_machine(Path(args.base)),
+                                load_machine(Path(args.new))):
+            print(ln)
         if args.normalize_to:
             base = normalize_rows(base, args.normalize_to)
             new = normalize_rows(new, args.normalize_to)

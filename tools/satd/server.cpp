@@ -298,13 +298,8 @@ void Server::handle_frame(const std::shared_ptr<Conn>& conn, Frame&& frame) {
   std::memcpy(job.elements.data(), m.data, nbytes);
   job.enqueue_ts_us = now_us(g_t0);
 
-  if (!queue_.try_push(std::move(job))) {
-    m_rejected_->add();
-    send_error(conn, frame.trace_id, ErrorCode::kOverloaded,
-               "admission queue full; retry with backoff");
-    return;
-  }
-  m_queue_depth_->record(queue_.size());
+  // The span opens before the push: once the job is queued a dispatcher
+  // may run it and record the 'e' at any moment.
   if (opts_.trace != nullptr) {
     char args[112];
     std::snprintf(args, sizeof args,
@@ -314,6 +309,17 @@ void Server::handle_frame(const std::shared_ptr<Conn>& conn, Frame&& frame) {
     opts_.trace->async_begin(trace_pid_, frame.trace_id, "request", "satd",
                              opts_.trace->now_host_us(), args);
   }
+  if (!queue_.try_push(std::move(job))) {
+    m_rejected_->add();
+    send_error(conn, frame.trace_id, ErrorCode::kOverloaded,
+               "admission queue full; retry with backoff");
+    if (opts_.trace != nullptr)
+      opts_.trace->async_end(trace_pid_, frame.trace_id, "request", "satd",
+                             opts_.trace->now_host_us(),
+                             "{\"overloaded\":true}");
+    return;
+  }
+  m_queue_depth_->record(queue_.size());
 }
 
 void Server::dispatcher_loop() {
