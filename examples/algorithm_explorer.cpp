@@ -8,6 +8,7 @@
 
 #include "core/api.hpp"
 #include "model/predict.hpp"
+#include "repro/repro.hpp"
 #include "util/argparse.hpp"
 #include "util/format.hpp"
 
@@ -46,11 +47,11 @@ int main(int argc, char** argv) {
 
   bool all_valid = true;
   for (auto algo : satalgo::all_sat_algorithms()) {
-    sat::Options opts;
+    satrepro::Options opts;
     opts.algorithm = algo;
-    opts.tile_w = w;
-    opts.order = parse_order(args.get("order"));
-    const auto result = sat::compute_sat(input, opts);
+    opts.params.tile_w = w;
+    opts.params.order = parse_order(args.get("order"));
+    const auto result = satrepro::compute_sat(input, opts);
     const auto err = sat::validate_sat(input, result.table);
     all_valid &= !err.has_value();
     const auto& s = result.stats;

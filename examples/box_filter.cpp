@@ -13,7 +13,8 @@
 #include <cstdio>
 #include <vector>
 
-#include "core/api.hpp"
+#include "core/region.hpp"
+#include "repro/repro.hpp"
 #include "util/argparse.hpp"
 #include "util/rng.hpp"
 
@@ -108,7 +109,7 @@ int main(int argc, char** argv) {
   const auto img = make_test_image(n, 42);
   render_ascii(img, "input image");
 
-  auto result = sat::compute_sat(img);
+  auto result = satrepro::compute_sat(img);
   std::printf("SAT computed with %s: %zu kernel call(s), %.3f modeled ms\n\n",
               result.stats.algorithm.c_str(), result.stats.kernel_calls,
               result.stats.critical_path_us / 1e3);

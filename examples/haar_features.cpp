@@ -11,7 +11,8 @@
 #include <cstdio>
 #include <vector>
 
-#include "core/api.hpp"
+#include "core/region.hpp"
+#include "repro/repro.hpp"
 #include "util/argparse.hpp"
 #include "util/rng.hpp"
 
@@ -75,7 +76,7 @@ int main(int argc, char** argv) {
   const std::size_t face_r = n / 2, face_c = n / 3;
   const auto img = make_scene(n, face_r, face_c, face_h, face_w, 7);
 
-  const auto result = sat::compute_sat(img);
+  const auto result = satrepro::compute_sat(img);
   std::printf("integral image via %s: reads/element = %.3f, "
               "writes/element = %.3f\n\n",
               result.stats.algorithm.c_str(),

@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "core/api.hpp"
+#include "repro/repro.hpp"
 #include "util/argparse.hpp"
 #include "util/format.hpp"
 
@@ -40,14 +41,14 @@ int main(int argc, char** argv) {
   const auto input = sat::Matrix<float>::random(
       n, n, static_cast<std::uint64_t>(args.get_int("seed")), 0.0f, 1.0f);
 
-  sat::Options opts;
+  satrepro::Options opts;
   opts.algorithm = parse_algorithm(args.get("algorithm"));
-  opts.tile_w = static_cast<std::size_t>(args.get_int("w"));
+  opts.params.tile_w = static_cast<std::size_t>(args.get_int("w"));
 
   std::printf("computing %zux%zu SAT with %s (W=%zu) on %s...\n", n, n,
-              satalgo::name_of(opts.algorithm), opts.tile_w,
+              satalgo::name_of(opts.algorithm), opts.params.tile_w,
               opts.device.name.c_str());
-  const auto result = sat::compute_sat(input, opts);
+  const auto result = satrepro::compute_sat(input, opts);
 
   if (auto err = sat::validate_sat(input, result.table)) {
     std::printf("VALIDATION FAILED: %s\n", err->c_str());

@@ -7,82 +7,12 @@
 #include "host/sat_simd.hpp"
 #include "host/sat_skss_lb.hpp"
 #include "host/thread_pool.hpp"
-#include "sat/algo_batch.hpp"
-#include "scan/row_scan.hpp"
 
 namespace sat {
 
 namespace {
 
-template <class T>
-Result<T> compute_on_simulated_gpu(const Matrix<T>& input,
-                                   const Options& opts) {
-  // The kernels run on tile-aligned matrices; zero-padding on the
-  // bottom/right does not change any SAT entry inside the original region,
-  // so the result is simply cropped back. Every algorithm is rectangular-
-  // native, so each dimension pads independently to the tile width.
-  SAT_CHECK_MSG(opts.tile_w > 0 && opts.tile_w % 32 == 0,
-                "tile width " << opts.tile_w
-                              << " must be a positive multiple of 32");
-  auto align = [&](std::size_t x) {
-    return (x + opts.tile_w - 1) / opts.tile_w * opts.tile_w;
-  };
-  const std::size_t rows = align(input.rows());
-  const std::size_t cols = align(input.cols());
-
-  gpusim::SimContext sim(opts.device);
-  sim.checker = opts.checker;
-  sim.metrics = opts.metrics;
-  sim.trace = opts.trace;
-  gpusim::GlobalBuffer<T> a(sim, rows * cols, "input");
-  gpusim::GlobalBuffer<T> b(sim, rows * cols, "sat");
-  if (rows == input.rows() && cols == input.cols()) {
-    a.upload(input.storage());
-  } else if (sim.materialize) {
-    auto padded = a.view2d(rows, cols);
-    for (std::size_t i = 0; i < input.rows(); ++i)
-      for (std::size_t j = 0; j < input.cols(); ++j)
-        padded(i, j) = input(i, j);
-  }
-
-  satalgo::SatParams params;
-  params.tile_w = opts.tile_w;
-  params.threads_per_block = opts.threads_per_block;
-  params.arrangement = opts.arrangement;
-  params.order = opts.order;
-  params.seed = opts.seed;
-  params.hybrid_r = opts.hybrid_r;
-  params.inject = opts.inject;
-  params.inject_serial = opts.inject_serial;
-
-  satalgo::RunResult run = satalgo::run_algorithm_rect(
-      sim, opts.algorithm, a, b, rows, cols, params);
-
-  Result<T> result;
-  result.table = Matrix<T>(input.rows(), input.cols());
-  const satutil::Span2d<const T> out = b.view2d(rows, cols);
-  for (std::size_t i = 0; i < input.rows(); ++i)
-    for (std::size_t j = 0; j < input.cols(); ++j)
-      result.table(i, j) = out(i, j);
-
-  const gpusim::Counters totals = run.totals();
-  result.stats.algorithm = run.algorithm;
-  result.stats.padded_n = std::max(rows, cols);
-  result.stats.kernel_calls = run.kernel_calls();
-  result.stats.max_threads = run.max_threads();
-  result.stats.element_reads = totals.element_reads;
-  result.stats.element_writes = totals.element_writes;
-  result.stats.global_read_sectors = totals.global_read_sectors;
-  result.stats.global_write_sectors = totals.global_write_sectors;
-  result.stats.atomic_ops = totals.atomic_ops;
-  result.stats.flag_reads = totals.flag_reads;
-  result.stats.flag_writes = totals.flag_writes;
-  result.stats.max_lookback_depth = run.max_lookback_depth();
-  result.stats.critical_path_us = run.sum_critical_path_us();
-  return result;
-}
-
-// Resolves the thread pool a CPU-backend call runs on: the caller-owned
+// Resolves the thread pool a call runs on: the caller-owned
 // Options::pool when set (a server reusing one pool across requests —
 // the owner configures its observability, we leave set_obs alone), else a
 // per-call pool wired to the call's obs pointers.
@@ -224,185 +154,45 @@ template <class T>
 Stats compute_sat_batch_into(
     const std::vector<satutil::Span2d<const T>>& inputs,
     const std::vector<satutil::Span2d<T>>& outputs, const Options& opts) {
-  SAT_CHECK_MSG(opts.backend == Backend::kCpu,
-                "compute_sat_batch_into is CPU-only (the simulated device "
-                "owns its buffers)");
-  Stats stats;
-  stats.algorithm =
-      run_cpu_batch<T>(inputs, outputs, {}, opts, /*batch_entry=*/true);
-  return stats;
+  return {run_cpu_batch<T>(inputs, outputs, {}, opts, /*batch_entry=*/true)};
 }
 
 template <class T>
 Result<T> compute_sat(const Matrix<T>& input, const Options& opts) {
   SAT_CHECK_MSG(!input.empty(), "input matrix is empty");
-  SAT_CHECK_MSG(
-      opts.storage == Storage::kDense || opts.backend == Backend::kCpu,
-      "non-dense storage modes are CPU-backend only");
-  switch (opts.backend) {
-    case Backend::kSimulatedGpu:
-      return compute_on_simulated_gpu(input, opts);
-    case Backend::kCpu: {
-      Result<T> result;
-      result.table = Matrix<T>(input.rows(), input.cols());
-      result.stats.algorithm = run_cpu_batch<T>(
-          {input.view()}, {result.table.view()}, {}, opts,
-          /*batch_entry=*/false);
-      return result;
-    }
-  }
-  SAT_CHECK_MSG(false, "unknown backend");
-  return {};
+  Result<T> result;
+  result.table = Matrix<T>(input.rows(), input.cols());
+  result.stats.algorithm = run_cpu_batch<T>(
+      {input.view()}, {result.table.view()}, {}, opts, /*batch_entry=*/false);
+  return result;
 }
 
 template <class T>
 BatchResult<T> compute_sat_batch(const std::vector<Matrix<T>>& inputs,
                                  const Options& opts) {
-  SAT_CHECK_MSG(!inputs.empty(), "empty batch");
-  if (opts.backend == Backend::kCpu) {
-    BatchResult<T> result;
-    std::vector<satutil::Span2d<const T>> srcs;
-    std::vector<satutil::Span2d<T>> dsts;
-    result.tables.reserve(inputs.size());
-    for (const auto& m : inputs) {
-      result.tables.emplace_back(m.rows(), m.cols());
-      srcs.push_back(m.view());
-      dsts.push_back(result.tables.back().view());
-    }
-    result.stats.algorithm =
-        run_cpu_batch<T>(srcs, dsts, {}, opts, /*batch_entry=*/true);
-    return result;
-  }
-  const std::size_t in_rows = inputs[0].rows();
-  const std::size_t in_cols = inputs[0].cols();
-  for (const auto& m : inputs) {
-    SAT_CHECK_MSG(m.rows() == in_rows && m.cols() == in_cols,
-                  "batched matrices must share one shape");
-  }
-  SAT_CHECK_MSG(opts.storage == Storage::kDense,
-                "non-dense storage modes are CPU-backend only");
-  SAT_CHECK(opts.tile_w > 0 && opts.tile_w % 32 == 0);
-  auto align = [&](std::size_t x) {
-    return (x + opts.tile_w - 1) / opts.tile_w * opts.tile_w;
-  };
-  const std::size_t rows = align(in_rows);
-  const std::size_t cols = align(in_cols);
-  const std::size_t batch = inputs.size();
-
-  gpusim::SimContext sim(opts.device);
-  sim.checker = opts.checker;
-  sim.metrics = opts.metrics;
-  sim.trace = opts.trace;
-  gpusim::GlobalBuffer<T> a(sim, batch * rows * cols, "batch.input");
-  gpusim::GlobalBuffer<T> b(sim, batch * rows * cols, "batch.sat");
-  if (sim.materialize) {
-    for (std::size_t k = 0; k < batch; ++k) {
-      T* base = a.data() + k * rows * cols;
-      for (std::size_t i = 0; i < in_rows; ++i)
-        for (std::size_t j = 0; j < in_cols; ++j)
-          base[i * cols + j] = inputs[k](i, j);
-    }
-  }
-
-  satalgo::SatParams params;
-  params.tile_w = opts.tile_w;
-  params.threads_per_block = opts.threads_per_block;
-  params.arrangement = opts.arrangement;
-  params.order = opts.order;
-  params.seed = opts.seed;
-
-  const satalgo::RunResult run =
-      satalgo::run_skss_lb_batch(sim, a, b, batch, rows, cols, params);
-
   BatchResult<T> result;
-  result.tables.reserve(batch);
-  for (std::size_t k = 0; k < batch; ++k) {
-    Matrix<T> table(in_rows, in_cols);
-    const T* base = b.data() + k * rows * cols;
-    for (std::size_t i = 0; i < in_rows; ++i)
-      for (std::size_t j = 0; j < in_cols; ++j)
-        table(i, j) = base[i * cols + j];
-    result.tables.push_back(std::move(table));
+  std::vector<satutil::Span2d<const T>> srcs;
+  std::vector<satutil::Span2d<T>> dsts;
+  result.tables.reserve(inputs.size());
+  for (const auto& m : inputs) {
+    result.tables.emplace_back(m.rows(), m.cols());
+    srcs.push_back(m.view());
+    dsts.push_back(result.tables.back().view());
   }
-  const gpusim::Counters totals = run.totals();
-  result.stats.algorithm = run.algorithm;
-  result.stats.padded_n = std::max(rows, cols);
-  result.stats.kernel_calls = run.kernel_calls();
-  result.stats.max_threads = run.max_threads();
-  result.stats.element_reads = totals.element_reads;
-  result.stats.element_writes = totals.element_writes;
-  result.stats.global_read_sectors = totals.global_read_sectors;
-  result.stats.global_write_sectors = totals.global_write_sectors;
-  result.stats.atomic_ops = totals.atomic_ops;
-  result.stats.flag_reads = totals.flag_reads;
-  result.stats.flag_writes = totals.flag_writes;
-  result.stats.max_lookback_depth = run.max_lookback_depth();
-  result.stats.critical_path_us = run.sum_critical_path_us();
+  result.stats.algorithm =
+      run_cpu_batch<T>(srcs, dsts, {}, opts, /*batch_entry=*/true);
   return result;
 }
 
 template <class T>
 TiledResult<T> compute_sat_tiled(const Matrix<T>& input, const Options& opts) {
   SAT_CHECK_MSG(!input.empty(), "input matrix is empty");
-  SAT_CHECK_MSG(opts.backend == Backend::kCpu,
-                "compute_sat_tiled is CPU-backend only");
   TiledResult<T> result{
       TiledSat<T>(input.rows(), input.cols(), residual_tile_w(opts)), {}};
   result.stats.algorithm = run_cpu_batch<T>({input.view()}, {},
                                             {&result.table}, opts,
                                             /*batch_entry=*/false);
   return result;
-}
-
-template <class T>
-std::vector<T> inclusive_scan(const std::vector<T>& values,
-                              const Options& opts) {
-  if (values.empty()) return {};
-  gpusim::SimContext sim(opts.device);
-  sim.checker = opts.checker;
-  sim.metrics = opts.metrics;
-  sim.trace = opts.trace;
-  gpusim::GlobalBuffer<T> src(sim, values.size(), "scan.src");
-  gpusim::GlobalBuffer<T> dst(sim, values.size(), "scan.dst");
-  src.upload(values);
-  satscan::RowScanTuning tune;
-  tune.order = opts.order;
-  tune.seed = opts.seed;
-  satscan::row_wise_inclusive_scan(sim, src, dst, 1, values.size(), tune);
-  std::vector<T> out(values.size());
-  for (std::size_t k = 0; k < values.size(); ++k) out[k] = dst[k];
-  return out;
-}
-
-Options auto_tune(std::size_t rows, std::size_t cols, const Options& base) {
-  SAT_CHECK(rows > 0 && cols > 0);
-  Options best = base;
-  double best_ms = 1e300;
-  for (satalgo::Algorithm algo :
-       {satalgo::Algorithm::kSkssLb, satalgo::Algorithm::kSkss,
-        satalgo::Algorithm::k2R1W}) {
-    for (std::size_t w : {std::size_t{32}, std::size_t{64}, std::size_t{128}}) {
-      const std::size_t longest = std::max(rows, cols);
-      const std::size_t n = (longest + w - 1) / w * w;
-      gpusim::SimContext sim(base.device);
-      sim.materialize = false;
-      gpusim::GlobalBuffer<float> a(sim, n * n, "tune.in");
-      gpusim::GlobalBuffer<float> b(sim, n * n, "tune.out");
-      satalgo::SatParams p;
-      p.tile_w = w;
-      p.threads_per_block = base.threads_per_block;
-      const auto run = satalgo::run_algorithm(sim, algo, a, b, n, p);
-      double us = 0;
-      for (const auto& r : run.reports)
-        us += sim.cost.kernel_launch_us + r.critical_path_us;
-      if (us < best_ms) {
-        best_ms = us;
-        best.algorithm = algo;
-        best.tile_w = w;
-      }
-    }
-  }
-  return best;
 }
 
 template <class T>
@@ -481,17 +271,6 @@ template TiledResult<std::uint32_t> compute_sat_tiled<std::uint32_t>(
     const Matrix<std::uint32_t>&, const Options&);
 template TiledResult<std::int64_t> compute_sat_tiled<std::int64_t>(
     const Matrix<std::int64_t>&, const Options&);
-
-template std::vector<float> inclusive_scan<float>(const std::vector<float>&,
-                                                  const Options&);
-template std::vector<double> inclusive_scan<double>(const std::vector<double>&,
-                                                    const Options&);
-template std::vector<std::int32_t> inclusive_scan<std::int32_t>(
-    const std::vector<std::int32_t>&, const Options&);
-template std::vector<std::int64_t> inclusive_scan<std::int64_t>(
-    const std::vector<std::int64_t>&, const Options&);
-template std::vector<std::uint32_t> inclusive_scan<std::uint32_t>(
-    const std::vector<std::uint32_t>&, const Options&);
 
 template std::optional<std::string> validate_sat<float>(const Matrix<float>&,
                                                         const Matrix<float>&,

@@ -88,7 +88,7 @@ MomentTables MomentTables::build(const sat::Matrix<T>& image) {
   t.sum = sat::Matrix<double>(rows, cols);
   t.sum_sq = sat::Matrix<double>(rows, cols);
   // Host-side single pass; callers wanting the simulated-GPU path can build
-  // the tables via sat::compute_sat and assign them directly.
+  // the tables via satrepro::compute_sat and assign them directly.
   for (std::size_t i = 0; i < rows; ++i) {
     double run = 0, run2 = 0;
     for (std::size_t j = 0; j < cols; ++j) {

@@ -1,5 +1,6 @@
-// Tests for the public API: compute_sat on both backends, region queries,
-// validation, and option handling.
+// Tests for the public API: compute_sat on the host engines and on the
+// simulated device (satrepro), region queries, validation, and option
+// handling.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,6 +8,7 @@
 
 #include "core/api.hpp"
 #include "host/sat_cpu.hpp"
+#include "repro/repro.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -75,7 +77,6 @@ TEST(Api, CpuDispatchMatrix) {
                               Storage::kKahanF32}) {
         for (std::size_t tile_w : {std::size_t{0}, std::size_t{32}}) {
           Options o;
-          o.backend = sat::Backend::kCpu;
           o.cpu_engine = engine;
           o.cpu_threads = 3;
           o.cpu_tile_w = tile_w;
@@ -122,9 +123,17 @@ TEST(Api, CpuDispatchMatrix) {
   }
 }
 
-TEST(Api, DefaultOptionsComputeCorrectSat) {
+TEST(Api, DefaultOptionsRunTheHostEngine) {
   const auto input = Matrix<std::int32_t>::random(256, 256, 1, 0, 100);
   const auto result = sat::compute_sat(input);
+  EXPECT_FALSE(sat::validate_sat(input, result.table).has_value());
+  EXPECT_EQ(result.stats.algorithm, "cpu-skss-lb");
+}
+
+// The reproduction entry's defaults are the paper's best configuration.
+TEST(Api, DefaultOptionsComputeCorrectSat) {
+  const auto input = Matrix<std::int32_t>::random(256, 256, 1, 0, 100);
+  const auto result = satrepro::compute_sat(input);
   EXPECT_FALSE(sat::validate_sat(input, result.table).has_value());
   EXPECT_EQ(result.stats.algorithm, "1R1W-SKSS-LB");
   EXPECT_EQ(result.stats.kernel_calls, 1u);
@@ -135,10 +144,10 @@ TEST(Api, DefaultOptionsComputeCorrectSat) {
 TEST(Api, EveryAlgorithmThroughTheApi) {
   const auto input = Matrix<std::int32_t>::random(128, 128, 2, 0, 50);
   for (auto algo : satalgo::all_sat_algorithms()) {
-    Options opts;
+    satrepro::Options opts;
     opts.algorithm = algo;
-    opts.tile_w = 32;
-    const auto result = sat::compute_sat(input, opts);
+    opts.params.tile_w = 32;
+    const auto result = satrepro::compute_sat(input, opts);
     EXPECT_FALSE(sat::validate_sat(input, result.table).has_value())
         << satalgo::name_of(algo);
   }
@@ -147,7 +156,6 @@ TEST(Api, EveryAlgorithmThroughTheApi) {
 TEST(Api, CpuBackend) {
   const auto input = Matrix<float>::random(100, 180, 3, 0.0f, 1.0f);
   Options opts;
-  opts.backend = sat::Backend::kCpu;
   opts.cpu_threads = 3;
   const auto result = sat::compute_sat(input, opts);
   EXPECT_FALSE(sat::validate_sat(input, result.table).has_value());
@@ -156,9 +164,9 @@ TEST(Api, CpuBackend) {
 
 TEST(Api, NonSquareShapesArePaddedInternally) {
   const auto input = Matrix<std::int32_t>::random(64, 200, 8, 0, 9);
-  Options opts;
-  opts.tile_w = 64;
-  const auto result = sat::compute_sat(input, opts);
+  satrepro::Options opts;
+  opts.params.tile_w = 64;
+  const auto result = satrepro::compute_sat(input, opts);
   EXPECT_EQ(result.table.rows(), 64u);
   EXPECT_EQ(result.table.cols(), 200u);
   EXPECT_EQ(result.stats.padded_n, 256u);  // ceil(200/64)*64
@@ -167,9 +175,9 @@ TEST(Api, NonSquareShapesArePaddedInternally) {
 
 TEST(Api, NonTileMultipleIsPaddedInternally) {
   const auto input = Matrix<std::int32_t>::random(100, 100, 9, 0, 9);
-  Options opts;
-  opts.tile_w = 64;
-  const auto result = sat::compute_sat(input, opts);
+  satrepro::Options opts;
+  opts.params.tile_w = 64;
+  const auto result = satrepro::compute_sat(input, opts);
   EXPECT_EQ(result.stats.padded_n, 128u);
   EXPECT_FALSE(sat::validate_sat(input, result.table).has_value());
 }
@@ -177,10 +185,10 @@ TEST(Api, NonTileMultipleIsPaddedInternally) {
 TEST(Api, PaddingWorksForEveryAlgorithm) {
   const auto input = Matrix<std::int32_t>::random(70, 90, 10, 0, 9);
   for (auto algo : satalgo::all_sat_algorithms()) {
-    Options opts;
+    satrepro::Options opts;
     opts.algorithm = algo;
-    opts.tile_w = 32;
-    const auto result = sat::compute_sat(input, opts);
+    opts.params.tile_w = 32;
+    const auto result = satrepro::compute_sat(input, opts);
     EXPECT_FALSE(sat::validate_sat(input, result.table).has_value())
         << satalgo::name_of(algo);
   }
@@ -190,37 +198,39 @@ TEST(Api, InclusiveScanMatchesSerial) {
   std::vector<std::int64_t> v(10000);
   satutil::Rng rng(4);
   for (auto& x : v) x = static_cast<std::int64_t>(rng.next_below(100));
-  const auto got = sat::inclusive_scan(v);
+  const auto got = satrepro::inclusive_scan(v);
   std::int64_t run = 0;
   for (std::size_t k = 0; k < v.size(); ++k) {
     run += v[k];
     ASSERT_EQ(got[k], run) << k;
   }
-  EXPECT_TRUE(sat::inclusive_scan(std::vector<std::int64_t>{}).empty());
+  EXPECT_TRUE(satrepro::inclusive_scan(std::vector<std::int64_t>{}).empty());
 }
 
 TEST(Api, AutoTunePicksAReasonableConfig) {
-  const auto opts = sat::auto_tune(2048, 2048);
+  const auto opts = satrepro::auto_tune(2048, 2048);
   // At 2K the model must keep a single-kernel algorithm with a large tile.
   EXPECT_TRUE(opts.algorithm == satalgo::Algorithm::kSkssLb ||
               opts.algorithm == satalgo::Algorithm::kSkss);
-  EXPECT_GE(opts.tile_w, 64u);
+  EXPECT_GE(opts.params.tile_w, 64u);
   // And the tuned config must actually work.
   const auto input = Matrix<std::int32_t>::random(512, 512, 11, 0, 9);
-  const auto result = sat::compute_sat(input, sat::auto_tune(512, 512));
+  const auto result =
+      satrepro::compute_sat(input, satrepro::auto_tune(512, 512));
   EXPECT_FALSE(sat::validate_sat(input, result.table).has_value());
 }
 
 TEST(Api, RejectsEmpty) {
   const Matrix<float> input;
   EXPECT_THROW((void)sat::compute_sat(input), satutil::CheckError);
+  EXPECT_THROW((void)satrepro::compute_sat(input), satutil::CheckError);
 }
 
 TEST(Api, ValidateSatCatchesCorruption) {
   const auto input = Matrix<std::int32_t>::random(64, 64, 4, 0, 9);
-  auto result = sat::compute_sat(input, [] {
-    Options o;
-    o.tile_w = 32;
+  auto result = satrepro::compute_sat(input, [] {
+    satrepro::Options o;
+    o.params.tile_w = 32;
     return o;
   }());
   ASSERT_FALSE(sat::validate_sat(input, result.table).has_value());

@@ -1,9 +1,11 @@
-// Tests for the batched 1R1W-SKSS-LB kernel and the compute_sat_batch API.
+// Tests for the batched 1R1W-SKSS-LB kernel and the compute_sat_batch entry
+// points (host engines and satrepro).
 #include <gtest/gtest.h>
 
 #include "core/api.hpp"
 #include "gpusim/gpusim.hpp"
 #include "host/sat_cpu.hpp"
+#include "repro/repro.hpp"
 #include "sat/algo_batch.hpp"
 
 namespace {
@@ -14,9 +16,9 @@ TEST(Batch, EveryImageMatchesItsOracle) {
   std::vector<Matrix<std::int32_t>> inputs;
   for (std::uint64_t k = 0; k < 9; ++k)
     inputs.push_back(Matrix<std::int32_t>::random(96, 96, 100 + k, 0, 50));
-  sat::Options opts;
-  opts.tile_w = 32;
-  const auto result = sat::compute_sat_batch(inputs, opts);
+  satrepro::Options opts;
+  opts.params.tile_w = 32;
+  const auto result = satrepro::compute_sat_batch(inputs, opts);
   ASSERT_EQ(result.tables.size(), inputs.size());
   for (std::size_t k = 0; k < inputs.size(); ++k) {
     EXPECT_FALSE(sat::validate_sat(inputs[k], result.tables[k]).has_value())
@@ -27,11 +29,11 @@ TEST(Batch, EveryImageMatchesItsOracle) {
 
 TEST(Batch, SingleImageBatchEqualsPlainComputeSat) {
   const auto input = Matrix<std::int32_t>::random(128, 128, 5, 0, 99);
-  sat::Options opts;
-  opts.tile_w = 64;
-  const auto batch = sat::compute_sat_batch(
+  satrepro::Options opts;
+  opts.params.tile_w = 64;
+  const auto batch = satrepro::compute_sat_batch(
       std::vector<Matrix<std::int32_t>>{input}, opts);
-  const auto single = sat::compute_sat(input, opts);
+  const auto single = satrepro::compute_sat(input, opts);
   EXPECT_EQ(batch.tables[0], single.table);
 }
 
@@ -39,9 +41,9 @@ TEST(Batch, RectangularImagesWithPadding) {
   std::vector<Matrix<std::int32_t>> inputs;
   for (std::uint64_t k = 0; k < 4; ++k)
     inputs.push_back(Matrix<std::int32_t>::random(50, 170, 7 + k, 0, 20));
-  sat::Options opts;
-  opts.tile_w = 32;
-  const auto result = sat::compute_sat_batch(inputs, opts);
+  satrepro::Options opts;
+  opts.params.tile_w = 32;
+  const auto result = satrepro::compute_sat_batch(inputs, opts);
   for (std::size_t k = 0; k < inputs.size(); ++k) {
     EXPECT_FALSE(sat::validate_sat(inputs[k], result.tables[k]).has_value());
     EXPECT_EQ(result.tables[k].rows(), 50u);
@@ -50,13 +52,12 @@ TEST(Batch, RectangularImagesWithPadding) {
 }
 
 TEST(Batch, CpuSkssLbBatchMatchesOracle) {
-  // The CPU backend pipelines the whole batch through one
+  // The host core pipelines the whole batch through one
   // sathost::sat_skss_lb_batch scheduler call (docs/host_engine.md §3).
   std::vector<Matrix<std::int32_t>> inputs;
   for (std::uint64_t k = 0; k < 5; ++k)
     inputs.push_back(Matrix<std::int32_t>::random(70, 130, 300 + k, 0, 50));
   sat::Options opts;
-  opts.backend = sat::Backend::kCpu;
   opts.cpu_engine = sat::CpuEngine::kSkssLb;
   opts.cpu_threads = 3;
   const auto result = sat::compute_sat_batch(inputs, opts);
@@ -74,7 +75,6 @@ TEST(Batch, CpuBatchBitEqualsPerImageCompute) {
   for (std::uint64_t k = 0; k < 4; ++k)
     inputs.push_back(Matrix<std::int64_t>::random(64, 64, 400 + k, 0, 99));
   sat::Options opts;
-  opts.backend = sat::Backend::kCpu;
   opts.cpu_engine = sat::CpuEngine::kSkssLb;
   opts.cpu_threads = 2;
   opts.cpu_tile_w = 32;
@@ -92,7 +92,6 @@ TEST(Batch, CpuNonPipelinedEnginesStillBatch) {
   for (std::uint64_t k = 0; k < 3; ++k)
     inputs.push_back(Matrix<std::int32_t>::random(60, 60, 500 + k, 0, 20));
   sat::Options opts;
-  opts.backend = sat::Backend::kCpu;
   opts.cpu_engine = sat::CpuEngine::kSimd;
   const auto result = sat::compute_sat_batch(inputs, opts);
   for (std::size_t k = 0; k < inputs.size(); ++k)
@@ -104,9 +103,10 @@ TEST(Batch, RejectsMixedShapesAndEmptyBatch) {
   std::vector<Matrix<std::int32_t>> mixed = {
       Matrix<std::int32_t>(64, 64, 1), Matrix<std::int32_t>(64, 64, 1),
       Matrix<std::int32_t>(64, 96, 1)};
-  EXPECT_THROW((void)sat::compute_sat_batch(mixed), satutil::CheckError);
-  EXPECT_THROW((void)sat::compute_sat_batch(std::vector<Matrix<float>>{}),
-               satutil::CheckError);
+  EXPECT_THROW((void)satrepro::compute_sat_batch(mixed), satutil::CheckError);
+  EXPECT_THROW(
+      (void)satrepro::compute_sat_batch(std::vector<Matrix<float>>{}),
+      satutil::CheckError);
   // The CPU batch entry points apply the same rule for every engine and
   // name the first image that breaks it.
   std::vector<Matrix<std::int32_t>> outs;
@@ -121,7 +121,6 @@ TEST(Batch, RejectsMixedShapesAndEmptyBatch) {
                                 sat::CpuEngine::kSimd,
                                 sat::CpuEngine::kSkssLb}) {
     sat::Options opts;
-    opts.backend = sat::Backend::kCpu;
     opts.cpu_engine = engine;
     opts.cpu_threads = 2;
     EXPECT_THROW((void)sat::compute_sat_batch(mixed, opts),
@@ -159,12 +158,12 @@ TEST(Batch, SurvivesAdversarialDispatchOnTinyDevice) {
   std::vector<Matrix<std::int32_t>> inputs;
   for (std::uint64_t k = 0; k < 3; ++k)
     inputs.push_back(Matrix<std::int32_t>::random(64, 64, 20 + k, 0, 9));
-  sat::Options opts;
-  opts.tile_w = 32;
-  opts.order = gpusim::AssignmentOrder::Random;
-  opts.seed = 77;
+  satrepro::Options opts;
+  opts.params.tile_w = 32;
+  opts.params.order = gpusim::AssignmentOrder::Random;
+  opts.params.seed = 77;
   opts.device = gpusim::DeviceConfig::tiny(1, 1);
-  const auto result = sat::compute_sat_batch(inputs, opts);
+  const auto result = satrepro::compute_sat_batch(inputs, opts);
   for (std::size_t k = 0; k < inputs.size(); ++k)
     EXPECT_FALSE(sat::validate_sat(inputs[k], result.tables[k]).has_value());
 }

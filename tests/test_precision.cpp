@@ -8,6 +8,7 @@
 
 #include "core/api.hpp"
 #include "host/sat_cpu.hpp"
+#include "repro/repro.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -38,9 +39,9 @@ TEST(Precision, FloatErrorStaysTinyForPaperSizedWorkloads) {
   // at 32K² at all: relative error grows ~√(n²) for random signs but only
   // the *relative* error matters for region sums of comparable scale.)
   const auto input = Matrix<float>::random(512, 512, 3, 0.0f, 1.0f);
-  const auto result = sat::compute_sat(input, [] {
-    sat::Options o;
-    o.tile_w = 64;
+  const auto result = satrepro::compute_sat(input, [] {
+    satrepro::Options o;
+    o.params.tile_w = 64;
     return o;
   }());
   EXPECT_LT(max_rel_error_vs_double(input, result.table), 1e-4);
@@ -55,10 +56,10 @@ TEST(Precision, TiledAccumulationIsNoWorseThanSequentialOrder) {
   const double seq_err = max_rel_error_vs_double(input, seq);
   for (auto algo : {satalgo::Algorithm::kSkssLb, satalgo::Algorithm::k2R1W,
                     satalgo::Algorithm::k2R2WOptimal}) {
-    sat::Options o;
+    satrepro::Options o;
     o.algorithm = algo;
-    o.tile_w = 32;
-    const auto result = sat::compute_sat(input, o);
+    o.params.tile_w = 32;
+    const auto result = satrepro::compute_sat(input, o);
     const double err = max_rel_error_vs_double(input, result.table);
     EXPECT_LT(err, 10 * seq_err + 1e-6) << satalgo::name_of(algo);
   }
@@ -71,9 +72,9 @@ TEST(Precision, ErrorGrowsSublinearlyWithSize) {
   for (auto [n, out] : {std::pair<std::size_t, double*>{128, &err_small},
                         std::pair<std::size_t, double*>{512, &err_large}}) {
     const auto input = Matrix<float>::random(n, n, 5, 0.0f, 1.0f);
-    const auto result = sat::compute_sat(input, [] {
-      sat::Options o;
-      o.tile_w = 64;
+    const auto result = satrepro::compute_sat(input, [] {
+      satrepro::Options o;
+      o.params.tile_w = 64;
       return o;
     }());
     *out = max_rel_error_vs_double(input, result.table);
@@ -169,7 +170,6 @@ TEST(Precision, KahanF32StaysCorrectlyRoundedPastTheBoundary) {
                                 sat::CpuEngine::kSkssLb}) {
     for (std::size_t tile_w : {std::size_t{0}, std::size_t{64}}) {
       sat::Options o;
-      o.backend = sat::Backend::kCpu;
       o.cpu_engine = engine;
       o.cpu_threads = 4;
       o.cpu_tile_w = tile_w;
@@ -198,9 +198,9 @@ TEST(Precision, UnsignedWraparoundIsWellDefinedAndConsistent) {
   // pipeline — region sums of wrapped tables still reconstruct exactly.
   const std::size_t n = 64;
   auto input = Matrix<std::uint32_t>::random(n, n, 9, 0u, 0xF0000000u);
-  sat::Options o;
-  o.tile_w = 32;
-  const auto result = sat::compute_sat(input, o);
+  satrepro::Options o;
+  o.params.tile_w = 32;
+  const auto result = satrepro::compute_sat(input, o);
   EXPECT_FALSE(sat::validate_sat(input, result.table).has_value());
   // Region reconstruction under wraparound: brute sum mod 2^32 matches.
   std::uint32_t brute = 0;
@@ -219,10 +219,10 @@ TEST(Precision, DoubleSatIsExactForIntegerValuedInputs) {
     for (std::size_t j = 0; j < n; ++j)
       input(i, j) = double(rng.next_below(1000));
   for (auto algo : {satalgo::Algorithm::kSkssLb, satalgo::Algorithm::kSkss}) {
-    sat::Options o;
+    satrepro::Options o;
     o.algorithm = algo;
-    o.tile_w = 64;
-    const auto result = sat::compute_sat(input, o);
+    o.params.tile_w = 64;
+    const auto result = satrepro::compute_sat(input, o);
     Matrix<double> ref(n, n);
     sathost::sat_sequential<double>(input.view(), ref.view());
     for (std::size_t i = 0; i < n; ++i)

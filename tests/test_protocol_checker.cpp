@@ -8,6 +8,7 @@
 
 #include "core/api.hpp"
 #include "gpusim/gpusim.hpp"
+#include "repro/repro.hpp"
 #include "sat/algo_batch.hpp"
 #include "sat/registry.hpp"
 
@@ -128,11 +129,11 @@ TEST(ProtocolChecker, BatchRunVerifies) {
 
 TEST(ProtocolChecker, AvailableThroughThePublicApi) {
   ProtocolChecker checker;
-  sat::Options opts;
-  opts.tile_w = 64;
+  satrepro::Options opts;
+  opts.params.tile_w = 64;
   opts.checker = &checker;
   const auto input = sat::Matrix<float>::random(256, 256, 1, 0.0f, 1.0f);
-  const auto result = sat::compute_sat(input, opts);
+  const auto result = satrepro::compute_sat(input, opts);
   EXPECT_FALSE(sat::validate_sat(input, result.table).has_value());
   EXPECT_EQ(checker.stats().kernels_checked, 1u);
   EXPECT_GT(checker.stats().claims, 0u);
@@ -178,12 +179,12 @@ TEST(ProtocolChecker, DetectsStuckTile) {
 
 TEST(ProtocolChecker, FaultInjectionReachesThePublicApi) {
   ProtocolChecker checker;
-  sat::Options opts;
-  opts.tile_w = 64;
+  satrepro::Options opts;
+  opts.params.tile_w = 64;
   opts.checker = &checker;
-  opts.inject = satalgo::FaultInjection::kFlagBeforeData;
+  opts.params.inject = satalgo::FaultInjection::kFlagBeforeData;
   const auto input = sat::Matrix<float>::random(256, 256, 1, 0.0f, 1.0f);
-  EXPECT_THROW(sat::compute_sat(input, opts), ProtocolError);
+  EXPECT_THROW(satrepro::compute_sat(input, opts), ProtocolError);
 }
 
 TEST(ProtocolChecker, DetectsUnscheduledDependency) {

@@ -10,6 +10,7 @@
 #include "host/sat_cpu.hpp"
 #include "host/sat_skss_lb.hpp"
 #include "host/thread_pool.hpp"
+#include "repro/repro.hpp"
 #include "sat/query_kernel.hpp"
 #include "util/pgm.hpp"
 #include "util/rng.hpp"
@@ -161,7 +162,6 @@ TEST(StorageModeQueries, KahanTableAnswersTheSameBattery) {
   const std::size_t rows = 128, cols = 96, w = 32;
   const auto in = sat::Matrix<float>::random(rows, cols, 29, 0.0f, 255.0f);
   sat::Options o;
-  o.backend = sat::Backend::kCpu;
   o.cpu_engine = sat::CpuEngine::kSimd;
   o.storage = sat::Storage::kKahanF32;
   const auto kah = sat::compute_sat(in, o);
@@ -263,9 +263,9 @@ TEST(Pgm, IntegratesWithSatPipeline) {
   Matrix<std::int32_t> m(64, 64);
   for (std::size_t i = 0; i < 64; ++i)
     for (std::size_t j = 0; j < 64; ++j) m(i, j) = img.at(i, j);
-  const auto result = sat::compute_sat(m, [] {
-    sat::Options o;
-    o.tile_w = 32;
+  const auto result = satrepro::compute_sat(m, [] {
+    satrepro::Options o;
+    o.params.tile_w = 32;
     return o;
   }());
   EXPECT_FALSE(sat::validate_sat(m, result.table).has_value());

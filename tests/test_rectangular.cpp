@@ -9,6 +9,7 @@
 #include "core/matrix.hpp"
 #include "gpusim/gpusim.hpp"
 #include "host/sat_cpu.hpp"
+#include "repro/repro.hpp"
 #include "sat/registry.hpp"
 
 namespace {
@@ -200,10 +201,10 @@ TEST(RectAlgorithms, ApiUsesNativeRectangularPath) {
   // 64×200 with W=64 pads to 64×256 (not 256×256) for rect-native
   // algorithms: less traffic than square padding.
   const auto input = Matrix<std::int32_t>::random(64, 200, 21, 0, 9);
-  sat::Options opts;
-  opts.tile_w = 64;
+  satrepro::Options opts;
+  opts.params.tile_w = 64;
   opts.algorithm = Algorithm::kSkssLb;
-  const auto result = sat::compute_sat(input, opts);
+  const auto result = satrepro::compute_sat(input, opts);
   EXPECT_FALSE(sat::validate_sat(input, result.table).has_value());
   EXPECT_LE(result.stats.element_reads, 2u * 64 * 256);  // rect, not square
 }

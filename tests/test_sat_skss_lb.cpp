@@ -113,7 +113,6 @@ TEST_P(SkssLbMatrix, KahanStorageMatchesSequentialF32) {
   Matrix<std::int64_t> exact(n, n);
   sathost::sat_sequential<std::int64_t>(wide.view(), exact.view());
   sat::Options o;
-  o.backend = sat::Backend::kCpu;
   o.cpu_engine = sat::CpuEngine::kSkssLb;
   o.cpu_tile_w = w;
   o.cpu_threads = workers;

@@ -366,7 +366,6 @@ TEST(StorageApi, ComputeSatTiledKeepsCompressedForm) {
   for (sat::CpuEngine engine :
        {sat::CpuEngine::kSimd, sat::CpuEngine::kSkssLb}) {
     sat::Options o;
-    o.backend = sat::Backend::kCpu;
     o.cpu_engine = engine;
     o.cpu_threads = 2;
     o.cpu_tile_w = 64;
@@ -385,7 +384,6 @@ TEST(StorageApi, DenseEntryPointDecodesResidualStorage) {
   for (sat::CpuEngine engine :
        {sat::CpuEngine::kSimd, sat::CpuEngine::kSkssLb}) {
     sat::Options o;
-    o.backend = sat::Backend::kCpu;
     o.cpu_engine = engine;
     o.cpu_threads = 2;
     o.storage = sat::Storage::kTiledResidual;
@@ -410,7 +408,6 @@ TEST(StorageApi, KahanStorageRequiresFloatAndStaysClose) {
     return out;
   }();
   sat::Options o;
-  o.backend = sat::Backend::kCpu;
   o.cpu_engine = sat::CpuEngine::kSkssLb;
   o.cpu_threads = 2;
   o.storage = sat::Storage::kKahanF32;

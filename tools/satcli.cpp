@@ -16,6 +16,7 @@
 //            checker across a size/tile-width sweep
 #include <cstdio>
 #include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,7 @@
 #include "model/table3.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
+#include "repro/repro.hpp"
 #include "util/argparse.hpp"
 #include "util/format.hpp"
 
@@ -98,81 +100,103 @@ satalgo::Algorithm parse_algorithm(const std::string& name) {
   return satalgo::Algorithm::kSkssLb;
 }
 
+/// Validates every table against the CPU oracle and prints one summary
+/// line; returns the first mismatch.
+std::optional<std::string> report(const std::string& algorithm,
+                                  std::span<const sat::Matrix<float>> inputs,
+                                  std::span<const sat::Matrix<float>> tables,
+                                  const std::string& shape) {
+  std::optional<std::string> err;
+  for (std::size_t k = 0; k < inputs.size() && !err; ++k) {
+    if (auto e = sat::validate_sat(inputs[k], tables[k])) {
+      err = inputs.size() > 1 ? "image " + std::to_string(k) + ": " + *e : *e;
+    }
+  }
+  const char* ok = inputs.size() > 1 ? "all images validated against CPU oracle"
+                                     : "validated against CPU oracle";
+  std::printf("%s on %s: %s\n", algorithm.c_str(), shape.c_str(),
+              err ? err->c_str() : ok);
+  return err;
+}
+
+/// --host-impl: the host core's engines (sat::compute_sat[_batch]).
+std::optional<std::string> compute_on_host(
+    const satutil::ArgParser& args, const std::vector<sat::Matrix<float>>& in,
+    ObsRequest& obs, const std::string& shape) {
+  sat::Options opts;
+  opts.cpu_engine = parse_host_impl(args.get("host-impl"));
+  opts.cpu_tile_w = static_cast<std::size_t>(args.get_int("tile-width"));
+  opts.cpu_threads = static_cast<std::size_t>(args.get_int("threads"));
+  opts.storage = parse_storage(args.get("storage"));
+  if (obs.metrics_on()) opts.metrics = &obs.registry;
+  if (obs.trace_on()) opts.trace = &obs.trace;
+  if (in.size() > 1) {
+    const auto res = sat::compute_sat_batch(in, opts);
+    return report(res.stats.algorithm, in, res.tables, shape);
+  }
+  const auto res = sat::compute_sat(in[0], opts);
+  return report(res.stats.algorithm, in, {&res.table, 1}, shape);
+}
+
+/// The paper's algorithms on the simulated device (satrepro).
+std::optional<std::string> compute_on_simulator(
+    const satutil::ArgParser& args, const std::vector<sat::Matrix<float>>& in,
+    ObsRequest& obs, const std::string& shape) {
+  SAT_CHECK_MSG(parse_storage(args.get("storage")) == sat::Storage::kDense,
+                "--storage " << args.get("storage")
+                             << " needs --host-impl (CPU only)");
+  satrepro::Options opts;
+  opts.algorithm = parse_algorithm(args.get("algorithm"));
+  opts.params.tile_w = static_cast<std::size_t>(args.get_int("w"));
+  gpusim::ProtocolChecker checker;
+  if (args.get_flag("check-protocol")) opts.checker = &checker;
+  if (obs.metrics_on()) opts.metrics = &obs.registry;
+  if (obs.trace_on()) opts.trace = &obs.trace;
+  if (in.size() > 1) {
+    const auto res = satrepro::compute_sat_batch(in, opts);
+    return report(res.stats.algorithm, in, res.tables, shape);
+  }
+  const auto res = satrepro::compute_sat(in[0], opts);
+  const auto err = report(
+      res.stats.algorithm, in, {&res.table, 1},
+      shape + " (padded to " + std::to_string(res.stats.padded_n) +
+          "-aligned)");
+  if (opts.checker != nullptr)
+    std::printf("protocol: %s\n", checker.summary().c_str());
+  const auto& s = res.stats;
+  std::printf(
+      "kernels %zu | threads %s | reads %s | writes %s | model %.4f ms\n",
+      s.kernel_calls, satutil::format_count(s.max_threads).c_str(),
+      satutil::format_count(s.element_reads).c_str(),
+      satutil::format_count(s.element_writes).c_str(),
+      s.critical_path_us / 1e3);
+  return err;
+}
+
 int mode_compute(const satutil::ArgParser& args) {
   const auto rows = static_cast<std::size_t>(args.get_int("rows"));
   const auto cols = static_cast<std::size_t>(args.get_int("cols"));
   const auto batch = static_cast<std::size_t>(args.get_int("batch"));
   SAT_CHECK_MSG(batch > 0, "--batch must be at least 1");
-  const auto input = sat::Matrix<float>::random(
-      rows, cols, static_cast<std::uint64_t>(args.get_int("seed")), 0.0f, 1.0f);
-  sat::Options opts;
-  opts.algorithm = parse_algorithm(args.get("algorithm"));
-  opts.tile_w = static_cast<std::size_t>(args.get_int("w"));
-  // --host-impl switches the run to the CPU backend; --tile-width sets the
+  // --batch B runs B same-shape random images in one call: the host
+  // skss_lb engine pipelines them through one claim counter, the simulated
+  // device runs one batched kernel.
+  std::vector<sat::Matrix<float>> inputs;
+  inputs.reserve(batch);
+  for (std::size_t k = 0; k < batch; ++k) {
+    inputs.push_back(sat::Matrix<float>::random(
+        rows, cols, static_cast<std::uint64_t>(args.get_int("seed")) + k,
+        0.0f, 1.0f));
+  }
+  std::string shape = std::to_string(rows) + "x" + std::to_string(cols);
+  if (batch > 1) shape = std::to_string(batch) + " x " + shape;
+  ObsRequest obs(args);
+  // --host-impl switches the run to the host engines; --tile-width sets the
   // host tile size (independent of the device --w, which must stay a
   // multiple of 32).
-  if (const std::string impl = args.get("host-impl"); !impl.empty()) {
-    opts.backend = sat::Backend::kCpu;
-    opts.cpu_engine = parse_host_impl(impl);
-    opts.cpu_tile_w = static_cast<std::size_t>(args.get_int("tile-width"));
-    opts.cpu_threads = static_cast<std::size_t>(args.get_int("threads"));
-  }
-  opts.storage = parse_storage(args.get("storage"));
-  SAT_CHECK_MSG(
-      opts.storage == sat::Storage::kDense ||
-          opts.backend == sat::Backend::kCpu,
-      "--storage " << args.get("storage") << " needs --host-impl (CPU only)");
-  gpusim::ProtocolChecker checker;
-  if (args.get_flag("check-protocol")) opts.checker = &checker;
-  ObsRequest obs(args);
-  if (obs.metrics_on()) opts.metrics = &obs.registry;
-  if (obs.trace_on()) opts.trace = &obs.trace;
-  if (batch > 1) {
-    // Batched run: one launch over `batch` same-shape random images. On the
-    // CPU backend with --host-impl skss_lb this pipelines images through one
-    // claim counter; on the simulated GPU it is one batched kernel.
-    std::vector<sat::Matrix<float>> inputs;
-    inputs.reserve(batch);
-    for (std::size_t k = 0; k < batch; ++k) {
-      inputs.push_back(sat::Matrix<float>::random(
-          rows, cols, static_cast<std::uint64_t>(args.get_int("seed")) + k,
-          0.0f, 1.0f));
-    }
-    const auto bres = sat::compute_sat_batch(inputs, opts);
-    std::optional<std::string> err;
-    for (std::size_t k = 0; k < batch && !err; ++k) {
-      if (auto e = sat::validate_sat(inputs[k], bres.tables[k])) {
-        err = "image " + std::to_string(k) + ": " + *e;
-      }
-    }
-    std::printf("%s on %zu x %zux%zu: %s\n", bres.stats.algorithm.c_str(),
-                batch, rows, cols,
-                err ? err->c_str() : "all images validated against CPU oracle");
-    if (!obs.finish()) return 1;
-    return err ? 1 : 0;
-  }
-  const auto result = sat::compute_sat(input, opts);
-  const auto err = sat::validate_sat(input, result.table);
-  if (opts.backend == sat::Backend::kCpu) {
-    std::printf("%s on %zux%zu: %s\n", result.stats.algorithm.c_str(), rows,
-                cols, err ? err->c_str() : "validated against CPU oracle");
-  } else {
-    std::printf("%s on %zux%zu (padded to %zu-aligned): %s\n",
-                result.stats.algorithm.c_str(), rows, cols,
-                result.stats.padded_n,
-                err ? err->c_str() : "validated against CPU oracle");
-  }
-  if (opts.checker != nullptr)
-    std::printf("protocol: %s\n", checker.summary().c_str());
-  if (opts.backend != sat::Backend::kCpu) {
-    std::printf(
-        "kernels %zu | threads %s | reads %s | writes %s | model %.4f ms\n",
-        result.stats.kernel_calls,
-        satutil::format_count(result.stats.max_threads).c_str(),
-        satutil::format_count(result.stats.element_reads).c_str(),
-        satutil::format_count(result.stats.element_writes).c_str(),
-        result.stats.critical_path_us / 1e3);
-  }
+  const auto err = args.get("host-impl").empty()
+                       ? compute_on_simulator(args, inputs, obs, shape)
+                       : compute_on_host(args, inputs, obs, shape);
   if (!obs.finish()) return 1;
   return err ? 1 : 0;
 }
@@ -202,9 +226,9 @@ int mode_cell(const satutil::ArgParser& args) {
 int mode_tune(const satutil::ArgParser& args) {
   const auto rows = static_cast<std::size_t>(args.get_int("rows"));
   const auto cols = static_cast<std::size_t>(args.get_int("cols"));
-  const auto opts = sat::auto_tune(rows, cols);
+  const auto opts = satrepro::auto_tune(rows, cols);
   std::printf("best for %zux%zu: %s with W=%zu\n", rows, cols,
-              satalgo::name_of(opts.algorithm), opts.tile_w);
+              satalgo::name_of(opts.algorithm), opts.params.tile_w);
   return 0;
 }
 
@@ -291,7 +315,7 @@ int main(int argc, char** argv) {
            "duplicate|2r2w|2r2w_opt|2r1w|1r1w|hybrid|skss|skss_lb")
       .add("w", "64", "tile width")
       .add("host-impl", "",
-           "run on the CPU backend with this dense engine: "
+           "run on the host engines with this dense engine: "
            "sequential|simd|skss_lb (--storage residual|kahan ignore it)")
       .add("tile-width", "0",
            "host tile width W, 0 = engine default (with --host-impl)")

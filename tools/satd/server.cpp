@@ -240,14 +240,14 @@ void Server::reader_loop(std::shared_ptr<Conn> conn) {
     if (drop) break;
     buf.erase(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(off));
   }
-  {
-    // Park the fd under the write mutex so a dispatcher mid-reply never
-    // writes into a recycled descriptor.
-    std::lock_guard lock(conn->write_mu);
-    ::close(conn->fd);
-    conn->fd = -1;
-  }
-  std::lock_guard lock(conn_mu_);
+  // Park the fd under both mutexes: write_mu so a dispatcher mid-reply
+  // never writes into a recycled descriptor, conn_mu_ so
+  // close_all_connections never shuts one down. That lets
+  // close_all_connections stay off write_mu, so stop() never waits behind
+  // a reply blocked in write_all.
+  std::scoped_lock lock(conn_mu_, conn->write_mu);
+  ::close(conn->fd);
+  conn->fd = -1;
   m_active_conns_->set(static_cast<double>(--open_conns_));
 }
 
@@ -366,7 +366,6 @@ void Server::run_batch_typed(std::vector<Job>& batch) {
   std::string failure;
   try {
     sat::Options opt;
-    opt.backend = sat::Backend::kCpu;
     opt.cpu_engine = sat::CpuEngine::kSkssLb;
     opt.cpu_tile_w = opts_.tile_w;
     switch (batch.front().storage) {

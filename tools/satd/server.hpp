@@ -109,6 +109,8 @@ class Server {
 
  private:
   struct Conn {
+    /// Cleared (-1) only under both conn_mu_ and write_mu, so either one
+    /// suffices to read it.
     int fd = -1;
     std::mutex write_mu;
   };
