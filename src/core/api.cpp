@@ -6,6 +6,7 @@
 #include "host/sat_cpu.hpp"
 #include "host/sat_simd.hpp"
 #include "host/sat_skss_lb.hpp"
+#include "host/sat_tiled.hpp"
 #include "host/thread_pool.hpp"
 
 namespace sat {
@@ -40,17 +41,6 @@ inline std::size_t residual_tile_w(const Options& opts) {
   return opts.cpu_tile_w != 0 ? opts.cpu_tile_w : kDefaultResidualTileW;
 }
 
-/// The SKSS-LB options of a CPU call: its observability plus a tile width
-/// (cpu_tile_w for the dense engine, the stores' W for the residual one).
-sathost::SkssLbOptions skss_lb_options(const Options& opts,
-                                       std::size_t tile_w) {
-  sathost::SkssLbOptions lb;
-  lb.tile_w = tile_w;
-  lb.metrics = opts.metrics;
-  lb.trace = opts.trace;
-  return lb;
-}
-
 /// The one CPU dispatch behind compute_sat, compute_sat_batch,
 /// compute_sat_batch_into and compute_sat_tiled; a single image is a batch
 /// of one. Image k's table goes to dense[k], or stays compressed in
@@ -58,8 +48,8 @@ sathost::SkssLbOptions skss_lb_options(const Options& opts,
 /// This is the only place that picks the code producing an output:
 ///   kDense          per cpu_engine: sat_sequential or sat_simd per image,
 ///                   or one sat_skss_lb_batch pass;
-///   kTiledResidual  one sat_skss_lb_residual_batch pass, decoded into
-///                   dense[k] for the dense-result entry points;
+///   kTiledResidual  one sat_tiled_batch pass, decoded into dense[k] for
+///                   the dense-result entry points;
 ///   kKahanF32       sat_kahan per image (floating-point T only).
 /// Returns the Stats::algorithm label, "cpu-<producer>" plus "-batch" for
 /// the batch entry points.
@@ -114,11 +104,11 @@ std::string run_cpu_batch(const std::vector<satutil::Span2d<const T>>& inputs,
       const std::vector<TiledSat<T>*>& outs =
           tiled.empty() ? scratch_ptrs : tiled;
       PoolRef pool(opts);
-      sathost::sat_skss_lb_residual_batch<T>(
-          pool.get(), inputs, outs, skss_lb_options(opts, outs[0]->tile_w()));
+      sathost::sat_tiled_batch<T>(pool.get(), inputs, outs, opts.metrics,
+                                  opts.trace);
       for (std::size_t k = 0; k < scratch.size(); ++k)
         scratch[k].decode_into(dense[k]);
-      label = "cpu-skss-lb-resid";
+      label = "cpu-tiled";
       break;
     }
     case Storage::kDense:
@@ -136,8 +126,11 @@ std::string run_cpu_batch(const std::vector<satutil::Span2d<const T>>& inputs,
           break;
         case CpuEngine::kSkssLb: {
           PoolRef pool(opts);
-          sathost::sat_skss_lb_batch<T>(pool.get(), inputs, dense,
-                                        skss_lb_options(opts, opts.cpu_tile_w));
+          sathost::SkssLbOptions lb;
+          lb.tile_w = opts.cpu_tile_w;
+          lb.metrics = opts.metrics;
+          lb.trace = opts.trace;
+          sathost::sat_skss_lb_batch<T>(pool.get(), inputs, dense, lb);
           label = "cpu-skss-lb";
           break;
         }

@@ -213,7 +213,8 @@ struct LookbackAux {
 /// keep walking. `pred_idx(k)` maps walk step k = 0.. to a tile index;
 /// `steps` bounds the walk (the border terminates it: at the border tile the
 /// LOCAL sum *is* the GLOBAL sum). Accumulates into `out[0, len)` and
-/// returns the number of predecessors inspected.
+/// returns the number of predecessors inspected, which it also records in
+/// `obs.depth`.
 template <class T, class PredIdx>
 std::size_t lookback_accumulate(const StatusFlags& status, const T* local,
                                 const T* global, std::size_t slot_w,
@@ -230,6 +231,9 @@ std::size_t lookback_accumulate(const StatusFlags& status, const T* local,
     for (std::size_t i = 0; i < len; ++i) out[i] += vec[i];
     if (s >= global_state) break;
   }
+#if SATLIB_OBS_ENABLED
+  if (obs.depth != nullptr) obs.depth->record(depth);
+#endif
   return depth;
 }
 

@@ -6,7 +6,8 @@
 //     register-level analog of §II Step 2: in-register log-step scans
 //     chained by a broadcast carry); kahan_row_scan_acc is the compensated
 //     form for Storage::kKahanF32. The SKSS-LB engine (sat_skss_lb.hpp)
-//     runs its tiles through simd_row_scan_acc[4].
+//     stores its tiles through simd_row_scan_acc[4], and simd_row_reduce
+//     is its look-back path's read-only reduce.
 //   - sat_simd / sat_kahan: the paper's two passes fused into one
 //     streaming sweep. An L1-resident accumulator row is the column-carry
 //     vector, a broadcast register is the row-carry vector, src is
@@ -212,6 +213,29 @@ void simd_row_scan_acc4(const T* const src[4], T* acc, T* const dst[4],
     dst[2][j] = o2;
     dst[3][j] = acc[j] = o3;
   }
+}
+
+/// The reduce step of a look-back tile: adds row src[0, n) into the column
+/// sums `acc` and returns the row's total. src is only read, and nothing
+/// but `acc` is written. The total is summed lane-wise and reduced once at
+/// the end, so for floating T it associates differently from the scan
+/// kernels' carry.
+template <class T>
+T simd_row_reduce(const T* src, T* acc, std::size_t n) {
+  using V = satsimd::Vec<T>;
+  std::size_t j = 0;
+  V total = V::zero();
+  for (; j + V::width <= n; j += V::width) {
+    const V x = V::load(src + j);
+    (V::load(acc + j) + x).store(acc + j);
+    total += x;
+  }
+  T sum = total.sum_broadcast().last();
+  for (; j < n; ++j) {
+    sum += src[j];
+    acc[j] += src[j];
+  }
+  return sum;
 }
 
 /// Single-pass vectorized SAT: both passes of Figure 2 fused into one sweep.

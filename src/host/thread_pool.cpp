@@ -10,6 +10,12 @@
 
 namespace sathost {
 
+namespace {
+thread_local std::uint64_t t_lane = 0;  // set once by worker_loop
+}  // namespace
+
+std::uint64_t ThreadPool::lane() { return t_lane; }
+
 // One submitted batch. Heap-allocated and shared so a worker waking late
 // from an old generation holds an exhausted Batch rather than racing a new
 // one; the cursor only ever grows, so a stale claim harmlessly overshoots.
@@ -53,8 +59,7 @@ void ThreadPool::set_obs(obs::Registry* reg, obs::TraceSink* trace) {
 }
 
 void ThreadPool::run_chunk(std::size_t chunk,
-                           const std::function<void(std::size_t)>& fn,
-                           std::uint64_t tid) {
+                           const std::function<void(std::size_t)>& fn) {
 #if SATLIB_OBS_ENABLED
   if (obs_chunks_ != nullptr || trace_ != nullptr) {
     const auto t0 = std::chrono::steady_clock::now();
@@ -70,12 +75,11 @@ void ThreadPool::run_chunk(std::size_t chunk,
     if (trace_ != nullptr) {
       char args[48];
       std::snprintf(args, sizeof args, "{\"chunk\":%zu}", chunk);
-      trace_->complete(trace_pid_, tid, "chunk", "host", ts, us, args);
+      trace_->complete(trace_pid_, t_lane, "chunk", "host", ts, us, args);
     }
     return;
   }
 #endif
-  (void)tid;
   fn(chunk);
 }
 
@@ -98,7 +102,7 @@ void ThreadPool::run_persistent(std::size_t workers,
   submit_and_wait(workers != 0 ? workers : size(), fn, /*instrument=*/false);
 }
 
-void ThreadPool::drain(Batch& batch, std::uint64_t tid) {
+void ThreadPool::drain(Batch& batch) {
   for (;;) {
     // Relaxed is enough: the claim carries no payload — all batch state a
     // chunk needs was published by the mutex (workers) or is caller-local.
@@ -106,7 +110,7 @@ void ThreadPool::drain(Batch& batch, std::uint64_t tid) {
         batch.cursor.fetch_add(1, std::memory_order_relaxed);
     if (chunk >= batch.chunks) break;
     if (batch.instrument) {
-      run_chunk(chunk, *batch.fn, tid);
+      run_chunk(chunk, *batch.fn);
     } else {
       (*batch.fn)(chunk);
     }
@@ -149,7 +153,7 @@ void ThreadPool::submit_and_wait(std::size_t chunks,
   }
 
   // The calling thread drains chunks too (lane/worker 0).
-  drain(*batch, 0);
+  drain(*batch);
 
   std::unique_lock lock(mu_);
   done_cv_.wait(lock, [&] {
@@ -159,6 +163,7 @@ void ThreadPool::submit_and_wait(std::size_t chunks,
 }
 
 void ThreadPool::worker_loop(std::uint64_t worker_index) {
+  t_lane = worker_index;
   std::uint64_t seen_generation = 0;
   for (;;) {
     std::shared_ptr<Batch> batch;
@@ -171,7 +176,7 @@ void ThreadPool::worker_loop(std::uint64_t worker_index) {
       seen_generation = generation_;
       batch = batch_;
     }
-    drain(*batch, worker_index);
+    drain(*batch);
   }
 }
 

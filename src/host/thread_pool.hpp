@@ -39,6 +39,10 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t size() const { return threads_.size() + 1; }
 
+  /// The calling thread's lane, the trace tid its pool chunks use: i for a
+  /// pool's worker thread i, 0 for every other thread.
+  [[nodiscard]] static std::uint64_t lane();
+
   /// Runs fn(chunk_index) for chunk_index in [0, chunks), distributing
   /// chunks over the workers (the calling thread participates). Blocks
   /// until every chunk is done. fn must not throw.
@@ -73,11 +77,10 @@ class ThreadPool {
   void submit_and_wait(std::size_t chunks,
                        const std::function<void(std::size_t)>& fn,
                        bool instrument);
-  void drain(Batch& batch, std::uint64_t tid);
+  void drain(Batch& batch);
   void finish_chunk(Batch& batch);
   void worker_loop(std::uint64_t worker_index);
-  void run_chunk(std::size_t chunk, const std::function<void(std::size_t)>& fn,
-                 std::uint64_t tid);
+  void run_chunk(std::size_t chunk, const std::function<void(std::size_t)>& fn);
 
   std::vector<std::thread> threads_;
   std::mutex mu_;

@@ -3,10 +3,8 @@
 //
 // Every host engine in the ledger is bound by DRAM traffic, and the SAT
 // *output* write is the dominant term — so a representation that halves the
-// output bytes is a throughput lever, not just a footprint one. The SKSS-LB
-// tile structure makes a base+residual encoding nearly free: the engine
-// already computes, per tile, the global prefix sums entering from the left
-// and from above (its GRS/GCS look-back values). Splitting the table as
+// output bytes is a throughput lever, not just a footprint one. Splitting
+// the table per W×W tile as
 //
 //     SAT(r0+p, c0+q) = RowBand(p) + ColBand(q) + L(p, q)
 //
@@ -44,6 +42,7 @@
 // each run of neighbouring tiles that uses it.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -180,29 +179,24 @@ class TiledSat {
 
   // ---- encoder side ------------------------------------------------------
   // Each tile's slots are disjoint; distinct tiles may be encoded from
-  // distinct threads without synchronization (the SKSS-LB engine does
+  // distinct threads without synchronization (host/sat_tiled.hpp does
   // exactly that).
 
-  /// Encode one tile from its local SAT `tilebuf` (tp×tq values, leading
-  /// dimension `ld`) and its two wide base vectors:
-  ///   row_band[p] = RowBand(p), col_band[q] = ColBand(q)  (see file header).
-  /// [mn, mx] is the tile's value range, which the engine tracks during
-  /// staging (detail::update_range on each row while it is L1-hot) so the
-  /// encoder needs no second sweep over a by-then cold tile; it must cover
-  /// every tilebuf value — a too-narrow range corrupts the residuals.
-  /// Chooses the narrowest residual width that holds the range, folds the
-  /// bias into the stored row base, and — when `allow_stream` and the
-  /// geometry permits — writes u16 residuals with non-temporal stores (a
-  /// store fence is issued before returning, so cross-thread readers only
-  /// need the usual release/acquire handoff).
+  /// Encode one tile's residual from its local SAT `tilebuf` (tp×tq
+  /// values, leading dimension `ld`) and store its bias as the row base;
+  /// add_bands then adds the tile's bases. [mn, mx] is the tile's value
+  /// range, which the producer tracks while each row is L1-hot
+  /// (detail::update_range) so the encoder needs no second sweep over a
+  /// by-then cold tile; it must cover every tilebuf value — a too-narrow
+  /// range corrupts the residuals. Chooses the narrowest residual width
+  /// that holds the range and — when `allow_stream` and the geometry
+  /// permits — writes u16 residuals with non-temporal stores (a store fence
+  /// is issued before returning, so cross-thread readers only need the
+  /// usual release/acquire handoff).
   void encode_tile(std::size_t tile, const T* tilebuf, std::size_t ld,
-                   std::size_t tp, std::size_t tq, const Wide* row_band,
-                   const Wide* col_band, T mn, T mx,
+                   std::size_t tp, std::size_t tq, T mn, T mx,
                    bool allow_stream = false) {
     Wide* rb = row_base_.get() + tile * w_;
-    Wide* cb = col_base_.get() + tile * w_;
-    for (std::size_t q = 0; q < tq; ++q) cb[q] = col_band[q];
-
     TileEnc e;
     if constexpr (std::is_floating_point_v<T>) {
       e = TileEnc::kF32;
@@ -218,89 +212,74 @@ class TiledSat {
     enc_[tile] = static_cast<std::uint8_t>(e);
 
     const std::size_t slot = tile * w_ * w_;
-    if (e == TileEnc::kWide) {
-      // Overflow fallback: raw values, no bias (avoids i64 range games).
-      for (std::size_t p = 0; p < tp; ++p) rb[p] = row_band[p];
-      Wide* dst = wide_.get() + slot;
+    // The scalar pack: out[q] = conv(tilebuf[q]) over the tile's rows.
+    auto pack = [&](auto* plane, auto conv) {
       for (std::size_t p = 0; p < tp; ++p) {
         const T* src = tilebuf + p * ld;
-        Wide* out = dst + p * w_;
-        for (std::size_t q = 0; q < tq; ++q)
-          out[q] = static_cast<Wide>(src[q]);
+        auto* out = plane + slot + p * w_;
+        for (std::size_t q = 0; q < tq; ++q) out[q] = conv(src[q]);
       }
+    };
+    // The bias-relative residual, exact in u64 two's complement.
+    auto rel = [mn](T v) {
+      return static_cast<std::uint64_t>(v) - static_cast<std::uint64_t>(mn);
+    };
+    if (e == TileEnc::kWide) {
+      // Overflow fallback: raw values, no bias (avoids i64 range games).
+      std::fill(rb, rb + tp, Wide{});
+      pack(wide_.get(), [](T v) { return static_cast<Wide>(v); });
       return;
     }
-
-    const Wide bias = static_cast<Wide>(mn);
-    for (std::size_t p = 0; p < tp; ++p) rb[p] = row_band[p] + bias;
-
+    std::fill(rb, rb + tp, static_cast<Wide>(mn));  // the bias
     if (e == TileEnc::kF32) {
-      if constexpr (std::is_floating_point_v<T>) {
-        float* dst = f32_.get() + slot;
-        for (std::size_t p = 0; p < tp; ++p) {
-          const T* src = tilebuf + p * ld;
-          float* out = dst + p * w_;
-          for (std::size_t q = 0; q < tq; ++q)
-            out[q] = static_cast<float>(src[q] - mn);
-        }
-      }
+      if constexpr (std::is_floating_point_v<T>)
+        pack(f32_.get(), [mn](T v) { return static_cast<float>(v - mn); });
       return;
     }
-
-    if (e == TileEnc::kU16) {
-      std::uint16_t* dst = u16_.get() + slot;
-      bool streamed = false;
+    if (e == TileEnc::kU32) {
+      pack(u32_.get(), [&](T v) { return static_cast<std::uint32_t>(rel(v)); });
+      return;
+    }
 #if defined(SATSIMD_BACKEND_AVX2)
-      // Pack 16 bias-relative i32 residuals to u16 and stream them. Gated
-      // on W and tq being multiples of 32 so every streamed row covers
-      // whole 64-byte lines and no scalar tail shares a line with them.
-      if constexpr (sizeof(T) == 4 && std::is_integral_v<T>) {
-        if (allow_stream && w_ % 32 == 0 && tq % 32 == 0) {
-          const __m256i vbias = _mm256_set1_epi32(static_cast<int>(
-              static_cast<std::uint32_t>(static_cast<std::int64_t>(mn))));
-          for (std::size_t p = 0; p < tp; ++p) {
-            const T* src = tilebuf + p * ld;
-            std::uint16_t* out = dst + p * w_;
-            for (std::size_t q = 0; q < tq; q += 16) {
-              __m256i lo = _mm256_loadu_si256(
-                  reinterpret_cast<const __m256i*>(src + q));
-              __m256i hi = _mm256_loadu_si256(
-                  reinterpret_cast<const __m256i*>(src + q + 8));
-              lo = _mm256_sub_epi32(lo, vbias);
-              hi = _mm256_sub_epi32(hi, vbias);
-              __m256i packed = _mm256_packus_epi32(lo, hi);
-              packed = _mm256_permute4x64_epi64(packed, _MM_SHUFFLE(3, 1, 2, 0));
-              _mm256_stream_si256(reinterpret_cast<__m256i*>(out + q), packed);
-            }
-          }
-          satsimd::store_fence();
-          streamed = true;
-        }
-      }
-#else
-      (void)allow_stream;
-#endif
-      if (!streamed) {
+    // Pack 16 bias-relative i32 residuals to u16 and stream them. Gated on
+    // W and tq being multiples of 32 so every streamed row covers whole
+    // 64-byte lines and no scalar tail shares a line with them.
+    if constexpr (sizeof(T) == 4 && std::is_integral_v<T>) {
+      if (allow_stream && w_ % 32 == 0 && tq % 32 == 0) {
+        const __m256i vbias = _mm256_set1_epi32(static_cast<int>(
+            static_cast<std::uint32_t>(static_cast<std::int64_t>(mn))));
         for (std::size_t p = 0; p < tp; ++p) {
           const T* src = tilebuf + p * ld;
-          std::uint16_t* out = dst + p * w_;
-          for (std::size_t q = 0; q < tq; ++q)
-            out[q] = static_cast<std::uint16_t>(
-                static_cast<std::uint64_t>(src[q]) -
-                static_cast<std::uint64_t>(mn));
+          std::uint16_t* out = u16_.get() + slot + p * w_;
+          for (std::size_t q = 0; q < tq; q += 16) {
+            __m256i lo =
+                _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + q));
+            __m256i hi = _mm256_loadu_si256(
+                reinterpret_cast<const __m256i*>(src + q + 8));
+            lo = _mm256_sub_epi32(lo, vbias);
+            hi = _mm256_sub_epi32(hi, vbias);
+            __m256i packed = _mm256_packus_epi32(lo, hi);
+            packed = _mm256_permute4x64_epi64(packed, _MM_SHUFFLE(3, 1, 2, 0));
+            _mm256_stream_si256(reinterpret_cast<__m256i*>(out + q), packed);
+          }
         }
+        satsimd::store_fence();
+        return;
       }
-      return;
     }
+#else
+    (void)allow_stream;
+#endif
+    pack(u16_.get(), [&](T v) { return static_cast<std::uint16_t>(rel(v)); });
+  }
 
-    std::uint32_t* dst = u32_.get() + slot;
-    for (std::size_t p = 0; p < tp; ++p) {
-      const T* src = tilebuf + p * ld;
-      std::uint32_t* out = dst + p * w_;
-      for (std::size_t q = 0; q < tq; ++q)
-        out[q] = static_cast<std::uint32_t>(static_cast<std::uint64_t>(src[q]) -
-                                            static_cast<std::uint64_t>(mn));
-    }
+  /// Adds a tile's bases after encode_tile: row_band[p] = RowBand(p),
+  /// col_band[q] = ColBand(q) (see the file header).
+  void add_bands(std::size_t tile, std::size_t tp, std::size_t tq,
+                 const Wide* row_band, const Wide* col_band) {
+    Wide* rb = row_base_.get() + tile * w_;
+    for (std::size_t p = 0; p < tp; ++p) rb[p] += row_band[p];
+    std::copy(col_band, col_band + tq, col_base_.get() + tile * w_);
   }
 
   // ---- reader side -------------------------------------------------------

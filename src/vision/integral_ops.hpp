@@ -12,7 +12,7 @@
 
 #include "core/matrix.hpp"
 #include "core/region.hpp"
-#include "host/sat_skss_lb.hpp"
+#include "host/sat_tiled.hpp"
 #include "host/thread_pool.hpp"
 #include "sat/storage.hpp"
 #include "util/check.hpp"
@@ -125,11 +125,11 @@ struct TiledMomentTables {
     TiledMomentTables t;
     t.sum = sat::TiledSat<double>(rows, cols, tile_w);
     t.sum_sq = sat::TiledSat<double>(rows, cols, tile_w);
-    // The residual encoder on the calling thread (a 1-worker pool spawns
-    // none); both tables share one scheduler pass.
+    // The tiled producer on the calling thread (a 1-worker pool spawns
+    // none); both tables share one pass.
     sathost::ThreadPool pool(1);
-    sathost::sat_skss_lb_residual_batch<double>(pool, {v.view(), v2.view()},
-                                                {&t.sum, &t.sum_sq});
+    sathost::sat_tiled_batch<double>(pool, {v.view(), v2.view()},
+                                     {&t.sum, &t.sum_sq});
     return t;
   }
 

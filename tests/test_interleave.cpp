@@ -43,7 +43,6 @@
 #include "host/sat_skss_lb.hpp"
 #include "host/thread_pool.hpp"
 #include "obs/registry.hpp"
-#include "sat/storage.hpp"
 #include "sched_explorer.hpp"
 #include "util/span2d.hpp"
 
@@ -333,43 +332,6 @@ TEST(Interleave, RandomSchedulesBatchPipelineBoundary) {
   EXPECT_GT(overlap_tiles_total(), overlap_before)
       << "no schedule pipelined an image-1 tile past the image boundary — "
          "is the batch path serializing on image completion?";
-}
-
-TEST(Interleave, RandomSchedulesResidualOutput) {
-  // The tiled base+residual output never takes the fast path (the encoder
-  // must see a whole tile before choosing its width), so every tile walks
-  // the full look-back protocol and retires through encode_tile. 10×11
-  // with W=4 → 3×3 ragged tiles, 3 workers. Every reconstructed value must
-  // equal the oracle on every schedule.
-  const GridConfig cfg{"rnd-resid-3x3w3", 10, 11, 4, 3};
-  const Matrix<std::int64_t> input = make_input(cfg, 4242);
-  const Matrix<std::int64_t> oracle = make_oracle(input);
-  sathost::ThreadPool pool(cfg.workers);
-  for (std::size_t seed = 0; seed < 200; ++seed) {
-    std::mt19937 rng(static_cast<std::uint32_t>(seed * 2654435761u + 31u));
-    sat::TiledSat<std::int64_t> got(cfg.rows, cfg.cols, cfg.tile_w);
-    ScheduleExplorer explorer(cfg.workers);
-    sathost::testhook::g_sched_hook = &explorer;
-    std::thread engine([&] {
-      sathost::SkssLbOptions opt;
-      opt.tile_w = cfg.tile_w;
-      opt.workers = cfg.workers;
-      sathost::sat_skss_lb_residual<std::int64_t>(pool, input.view(), got,
-                                                  opt);
-    });
-    const ScheduleExplorer::Outcome out =
-        explorer.drive([&](std::size_t n) {
-          return static_cast<std::size_t>(rng() % n);
-        });
-    engine.join();
-    sathost::testhook::g_sched_hook = nullptr;
-    ASSERT_FALSE(out.deadlock) << cfg.tag << " seed " << seed;
-    ASSERT_FALSE(out.timeout) << cfg.tag << " seed " << seed;
-    for (std::size_t i = 0; i < cfg.rows; ++i)
-      for (std::size_t j = 0; j < cfg.cols; ++j)
-        ASSERT_EQ(got.value(i, j), oracle(i, j))
-            << cfg.tag << " seed " << seed << " at (" << i << "," << j << ")";
-  }
 }
 
 TEST(Interleave, SingleWorkerIsDeterministic) {

@@ -8,7 +8,7 @@
 #include "core/api.hpp"
 #include "gpusim/gpusim.hpp"
 #include "host/sat_cpu.hpp"
-#include "host/sat_skss_lb.hpp"
+#include "host/sat_tiled.hpp"
 #include "host/thread_pool.hpp"
 #include "repro/repro.hpp"
 #include "sat/query_kernel.hpp"
@@ -144,7 +144,7 @@ TEST(StorageModeQueries, DenseAndResidualAgreeOnDegenerateAndStraddling) {
   sathost::sat_sequential<std::int64_t>(wide.view(), dense.view());
   sat::TiledSat<std::int32_t> tiled(rows, cols, w);
   sathost::ThreadPool pool(2);
-  sathost::sat_skss_lb_residual<std::int32_t>(pool, in.view(), tiled);
+  sathost::sat_tiled<std::int32_t>(pool, in.view(), tiled);
 
   for (const Rect& r : query_battery(rows, cols, w)) {
     const std::int64_t expect = sat::region_sum(dense, r);
@@ -190,7 +190,7 @@ TEST(StorageModeQueries, TiledQueryKernelHandlesTheBattery) {
   sathost::sat_sequential<std::int64_t>(in.view(), dense.view());
   sat::TiledSat<std::int64_t> tiled(rows, cols, w);
   sathost::ThreadPool pool(2);
-  sathost::sat_skss_lb_residual<std::int64_t>(pool, in.view(), tiled);
+  sathost::sat_tiled<std::int64_t>(pool, in.view(), tiled);
   gpusim::SimContext qsim;
   const auto battery = query_battery(rows, cols, w);
   const auto got = satalgo::run_query_kernel_tiled(qsim, tiled, battery);

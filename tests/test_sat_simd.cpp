@@ -158,6 +158,37 @@ TYPED_TEST(SatSimdDifferential, RegisterBlockedKernelsBitEqualChained1Row) {
   }
 }
 
+template <class T>
+class SimdRowReduce : public ::testing::Test {};
+
+using ReduceTypes = ::testing::Types<float, std::int32_t, std::int64_t>;
+TYPED_TEST_SUITE(SimdRowReduce, ReduceTypes);
+
+TYPED_TEST(SimdRowReduce, MatchesScalarLoop) {
+  // The look-back tile's reduce against the plain loop it replaces, at
+  // every length through two full vectors plus a 3-element tail, with the
+  // column sums starting from a non-zero row (a tile's later rows add into
+  // the earlier ones). Integer-valued inputs keep f32 exact, so the
+  // kernel's lane-wise association cannot hide a wrong element.
+  using T = TypeParam;
+  constexpr std::size_t kWidth = satsimd::Vec<T>::width;
+  satutil::Rng rng(kWidth * 97 + sizeof(T));
+  for (std::size_t n = 0; n <= 2 * kWidth + 3; ++n) {
+    std::vector<T> src(n), acc(n), want_acc(n);
+    T want_total{};
+    for (std::size_t j = 0; j < n; ++j) {
+      src[j] = static_cast<T>(rng.uniform<int>(0, 9));
+      acc[j] = static_cast<T>(j % 5 + 1);
+      want_acc[j] = acc[j] + src[j];
+      want_total += src[j];
+    }
+    EXPECT_EQ(sathost::simd_row_reduce<T>(src.data(), acc.data(), n),
+              want_total)
+        << "n=" << n;
+    EXPECT_EQ(acc, want_acc) << "n=" << n;
+  }
+}
+
 TEST(SatSimdParity, GenericFallbackHandlesInt64) {
   // int64 has no native vector specialization; sat_simd must still work
   // through the generic width-4 fallback.

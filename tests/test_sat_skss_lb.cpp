@@ -16,6 +16,7 @@
 #include "core/matrix.hpp"
 #include "host/sat_cpu.hpp"
 #include "host/sat_skss_lb.hpp"
+#include "host/sat_tiled.hpp"
 #include "host/thread_pool.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
@@ -77,7 +78,7 @@ TEST_P(SkssLbMatrix, MatchesSequentialI64) {
   run_case<std::int64_t>(n, n, w, workers, /*seed=*/n * 137 + w);
 }
 
-// Storage-mode axis of the same sweep: the residual encoder must be
+// Storage-mode axis of the same sweep: the tiled producer must be
 // BIT-exact against the sequential i64 oracle at every (n, W, workers)
 // point (integral contract), and Kahan storage must not depend on them.
 TEST_P(SkssLbMatrix, ResidualStorageMatchesSequentialI64) {
@@ -87,11 +88,8 @@ TEST_P(SkssLbMatrix, ResidualStorageMatchesSequentialI64) {
   Matrix<std::int64_t> ref(n, n);
   sathost::sat_sequential<std::int64_t>(input.view(), ref.view());
   sathost::ThreadPool pool(workers);
-  sathost::SkssLbOptions opt;
-  opt.tile_w = w;
-  opt.workers = workers;
   sat::TiledSat<std::int64_t> tiled(n, n, w);
-  sathost::sat_skss_lb_residual<std::int64_t>(pool, input.view(), tiled, opt);
+  sathost::sat_tiled<std::int64_t>(pool, input.view(), tiled);
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = 0; j < n; ++j)
       ASSERT_EQ(tiled.value(i, j), ref(i, j))
@@ -167,7 +165,7 @@ TEST(SkssLb, WorkersExceedingPoolAndTiles) {
 // The automatic tile width (SkssLbOptions::tile_w = 0), one row per case:
 // one worker keeps the L1-capped width; several workers get page-wide tiles
 // when the image holds at least 2·workers of them along each side, and the
-// L2 cap on the W² staging tile otherwise.
+// L2 cap on a look-back tile's input otherwise.
 struct AutoWidthCase {
   std::size_t rows, cols, workers, elem_bytes, want;
 };
@@ -213,7 +211,7 @@ TEST(SkssLb, AutoTileWidthTable) {
   EXPECT_EQ(sathost::auto_tile_w<std::int32_t>(12288, 12288, 1), 4096u);
 }
 
-/// With several workers, either the W² staging tile fits the L2 budget or
+/// With several workers, either a W×W tile's input fits the L2 budget or
 /// the tile is page-wide with at least 2·workers tiles along each side.
 template <class T>
 void expect_within_caps(std::size_t rows, std::size_t cols,
@@ -227,7 +225,7 @@ void expect_within_caps(std::size_t rows, std::size_t cols,
   EXPECT_GE(w, 128u) << where();
   EXPECT_LE(w * sizeof(T), 16384u) << where();
   if (workers <= 1) return;
-  const bool l2 = w * w * sizeof(T) <= sathost::kL2StagingBytes;
+  const bool l2 = w * w * sizeof(T) <= sathost::kL2RereadBytes;
   const bool page_wide = w * sizeof(T) == 4096 &&
                          std::min(rows, cols) / w >= 2 * workers;
   EXPECT_TRUE(l2 || page_wide) << where();

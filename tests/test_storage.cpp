@@ -1,6 +1,5 @@
 // Storage::kTiledResidual end to end: the TiledSat container and its host
-// encoder (sat_skss_lb_residual, on one and on several
-// workers) against the sequential i64 oracle, the per-tile
+// producer (sat_tiled, on one and on several workers) against the sequential i64 oracle, the per-tile
 // width selection and its wide overflow fallback, the range-extension
 // contract (tables whose dense form overflows T still reconstruct exactly),
 // the decompress-on-the-fly query kernel, the vision consumers on a
@@ -15,7 +14,7 @@
 
 #include "core/api.hpp"
 #include "host/sat_cpu.hpp"
-#include "host/sat_skss_lb.hpp"
+#include "host/sat_tiled.hpp"
 #include "host/thread_pool.hpp"
 #include "obs/registry.hpp"
 #include "sat/query_kernel.hpp"
@@ -43,14 +42,12 @@ Matrix<std::int64_t> oracle_i64(const Matrix<T>& in) {
   return out;
 }
 
-/// Encodes `in` into `out` with the residual encoder on `workers` threads.
+/// Encodes `in` into `out` with the tiled producer on `workers` threads.
 template <class T>
 void encode(const Matrix<T>& in, TiledSat<T>& out, std::size_t workers = 1,
             obs::Registry* reg = nullptr) {
   sathost::ThreadPool pool(workers);
-  sathost::SkssLbOptions opt;
-  opt.metrics = reg;
-  sathost::sat_skss_lb_residual<T>(pool, in.view(), out, opt);
+  sathost::sat_tiled<T>(pool, in.view(), out, reg);
 }
 
 std::vector<Rect> random_rects(std::size_t rows, std::size_t cols,
@@ -228,9 +225,7 @@ TEST(TiledResidual, LbEncoderPublishesStorageMetrics) {
   TiledSat<std::int32_t> t(n, n, w);
   sathost::ThreadPool pool(2);
   obs::Registry reg;
-  sathost::SkssLbOptions opt;
-  opt.metrics = &reg;
-  sathost::sat_skss_lb_residual<std::int32_t>(pool, in.view(), t, opt);
+  sathost::sat_tiled<std::int32_t>(pool, in.view(), t, &reg);
   const auto snap = reg.snapshot();
   const std::uint64_t* rb = snap.counter("host.storage.residual_bytes");
   const std::uint64_t* db = snap.counter("host.storage.dense_bytes");
@@ -238,10 +233,6 @@ TEST(TiledResidual, LbEncoderPublishesStorageMetrics) {
   ASSERT_NE(db, nullptr);
   EXPECT_EQ(*rb, t.residual_bytes());
   EXPECT_EQ(*db, t.dense_bytes());
-  // The engine's width gauge reports the store's W for the tiled output.
-  const double* tile_w = snap.gauge("host.lookback.tile_w");
-  ASSERT_NE(tile_w, nullptr);
-  EXPECT_EQ(*tile_w, static_cast<double>(w));
 #else
   GTEST_SKIP() << "observability compiled out";
 #endif

@@ -6,10 +6,10 @@
 
 #include "core/api.hpp"
 #include "host/sat_cpu.hpp"
+#include "repro/device_filter.hpp"
 #include "util/rng.hpp"
 #include "vision/haar.hpp"
 #include "vision/integral_ops.hpp"
-#include "vision/device_filter.hpp"
 #include "vision/match.hpp"
 
 namespace {
@@ -240,8 +240,8 @@ TEST(Vision, DeviceBoxFilterMatchesHostFilter) {
   gpusim::GlobalBuffer<float> out_buf(sim, n * n, "out");
   satalgo::SatParams p;
   p.tile_w = 32;
-  const auto rep = satvision::run_box_filter_kernel(sim, table_buf, out_buf,
-                                                    n, n, 4, p);
+  const auto rep = satrepro::run_box_filter_kernel(sim, table_buf, out_buf,
+                                                   n, n, 4, p);
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = 0; j < n; ++j)
       ASSERT_NEAR(out_buf[i * n + j], host(i, j), 1e-4) << i << "," << j;
@@ -260,7 +260,7 @@ TEST(Vision, DeviceBoxFilterCountOnlyMode) {
   satalgo::SatParams p;
   p.tile_w = 64;
   const auto rep =
-      satvision::run_box_filter_kernel(sim, table_buf, out_buf, n, n, 7, p);
+      satrepro::run_box_filter_kernel(sim, table_buf, out_buf, n, n, 7, p);
   EXPECT_GT(rep.counters.element_reads, n * n);  // halo overlap
   EXPECT_GT(rep.critical_path_us, 0.0);
 }

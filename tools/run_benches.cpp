@@ -24,6 +24,7 @@
 #include "host/sat_cpu.hpp"
 #include "host/sat_simd.hpp"
 #include "host/sat_skss_lb.hpp"
+#include "host/sat_tiled.hpp"
 #include "host/thread_pool.hpp"
 #include "model/table3.hpp"
 #include "tools/satd/client.hpp"
@@ -188,8 +189,8 @@ std::vector<Record> run_host_benches(bool smoke) {
       }
     }
     // Storage-mode rows (docs/host_engine.md, "Storage modes").
-    // skss_lb_resid16: the SKSS-LB engine writing tiled base+residual
-    // output instead of the dense table. Binary 0/1 i32 input with W=128
+    // skss_lb_resid16: the tiled base+residual store (sat_tiled) instead
+    // of the dense table. Binary 0/1 i32 input with W=128
     // keeps every 128×128 tile-local SAT ≤ 16384, so all tiles take the
     // u16 residual plane — 2 output bytes per element instead of 4. The
     // row's metrics snapshot carries host.storage.{residual,dense}_bytes;
@@ -199,15 +200,9 @@ std::vector<Record> run_host_benches(bool smoke) {
       const auto srci = ai.view();
       sat::TiledSat<std::int32_t> tiled(n, n, 128);
       obs::Registry reg;
-      sathost::SkssLbOptions opt;
-      opt.tile_w = 128;
-      opt.metrics = &reg;
       Record r = time_host(
           "skss_lb_resid16", n, smoke,
-          [&] {
-            sathost::sat_skss_lb_residual<std::int32_t>(pool, srci, tiled,
-                                                        opt);
-          },
+          [&] { sathost::sat_tiled<std::int32_t>(pool, srci, tiled, &reg); },
           &reg);
       r.dtype = "i32";
       out.push_back(r);
@@ -364,9 +359,9 @@ std::vector<Record> run_host_benches(bool smoke) {
                   r.wall_ms, r.melem_per_s());
       out.push_back(r);
     }
-    // Storage head-to-head at 8192²: dense i32 SKSS-LB vs the residual
-    // encoder on the SAME binary 0/1 input, same W — the only variable is
-    // the output representation (4 bytes/element streamed vs 2). W=256:
+    // Storage head-to-head at 8192²: dense i32 SKSS-LB vs the tiled store
+    // on the SAME binary 0/1 input, same W — the output representation
+    // (4 bytes/element streamed vs 2) and its producer differ. W=256:
     // random binary tiles stay far below the u16 range in practice, and the
     // exact per-tile range check falls back to u32 if one ever does not
     // (host.storage.overflow_tiles counts it). Like the simd/skss_lb pair
@@ -383,17 +378,13 @@ std::vector<Record> run_host_benches(bool smoke) {
       obs::Registry rreg;
       sathost::SkssLbOptions dense_opt;
       dense_opt.tile_w = 256;
-      sathost::SkssLbOptions resid_opt;
-      resid_opt.tile_w = 256;
-      resid_opt.metrics = &rreg;
       double best_dense = 0.0, best_resid = 0.0;
       for (int i = 0; i < iters; ++i) {
         const double t_dense = satbench::time_best_ms(1, [&] {
           sathost::sat_skss_lb<std::int32_t>(pool, srci, dsti, dense_opt);
         });
         const double t_resid = satbench::time_best_ms(1, [&] {
-          sathost::sat_skss_lb_residual<std::int32_t>(pool, srci, tiled,
-                                                      resid_opt);
+          sathost::sat_tiled<std::int32_t>(pool, srci, tiled, &rreg);
         });
         if (i == 0 || t_dense < best_dense) best_dense = t_dense;
         if (i == 0 || t_resid < best_resid) best_resid = t_resid;

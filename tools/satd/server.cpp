@@ -124,10 +124,7 @@ bool Server::start() {
 
   accept_thread_ = std::thread([this] { accept_loop(); });
   http_thread_ = std::thread([this] { http_loop(); });
-  const std::size_t nd = opts_.dispatchers == 0 ? 1 : opts_.dispatchers;
-  dispatcher_threads_.reserve(nd);
-  for (std::size_t i = 0; i < nd; ++i)
-    dispatcher_threads_.emplace_back([this] { dispatcher_loop(); });
+  dispatch_thread_ = std::thread([this] { dispatcher_loop(); });
   return true;
 }
 
@@ -159,15 +156,14 @@ void Server::stop() {
   }
   state_cv_.notify_all();
 
-  // Drain: dispatchers answer everything already admitted, then exit.
+  // Drain: the dispatcher answers everything already admitted, then exits.
   queue_.close();
-  for (auto& t : dispatcher_threads_) t.join();
-  dispatcher_threads_.clear();
+  if (dispatch_thread_.joinable()) dispatch_thread_.join();
 
   // Stop accepting (the accept/http loops poll the stop flag), then force
   // every blocked reader out of recv().
-  accept_thread_.join();
-  http_thread_.join();
+  for (std::thread* t : {&accept_thread_, &http_thread_})
+    if (t->joinable()) t->join();  // not if start() failed
   ::close(listen_fd_);
   ::close(http_fd_);
   listen_fd_ = http_fd_ = -1;
@@ -175,17 +171,17 @@ void Server::stop() {
   std::vector<std::thread> readers;
   {
     std::lock_guard lock(conn_mu_);
-    readers.swap(reader_threads_);
+    readers.swap(finished_);
+    for (auto& [conn, t] : readers_) readers.push_back(std::move(t));
+    readers_.clear();
   }
   for (auto& t : readers) t.join();
 }
 
 void Server::close_all_connections() {
   std::lock_guard lock(conn_mu_);
-  for (auto& weak : conns_) {
-    if (auto conn = weak.lock(); conn && conn->fd >= 0)
-      ::shutdown(conn->fd, SHUT_RDWR);
-  }
+  for (const auto& [conn, t] : readers_)
+    if (conn->fd >= 0) ::shutdown(conn->fd, SHUT_RDWR);
 }
 
 void Server::accept_loop() {
@@ -198,11 +194,17 @@ void Server::accept_loop() {
     if (fd < 0) continue;
     auto conn = std::make_shared<Conn>();
     conn->fd = fd;
-    std::lock_guard lock(conn_mu_);
-    conns_.push_back(conn);
-    reader_threads_.emplace_back(
-        [this, conn = std::move(conn)]() mutable { reader_loop(conn); });
-    m_active_conns_->set(static_cast<double>(++open_conns_));
+    std::vector<std::thread> exited;
+    {
+      // Held while the reader starts, so its exit always finds its entry.
+      std::lock_guard lock(conn_mu_);
+      exited.swap(finished_);
+      const Conn* key = conn.get();
+      readers_[key] =
+          std::thread([this, c = std::move(conn)] { reader_loop(c); });
+      m_active_conns_->set(static_cast<double>(++open_conns_));
+    }
+    for (auto& t : exited) t.join();  // reap: each gives back its stack
   }
 }
 
@@ -244,11 +246,16 @@ void Server::reader_loop(std::shared_ptr<Conn> conn) {
   // never writes into a recycled descriptor, conn_mu_ so
   // close_all_connections never shuts one down. That lets
   // close_all_connections stay off write_mu, so stop() never waits behind
-  // a reply blocked in write_all.
+  // a reply blocked in write_all. Then, unless stop() took it, park this
+  // thread in finished_ for the next accept to join.
   std::scoped_lock lock(conn_mu_, conn->write_mu);
   ::close(conn->fd);
   conn->fd = -1;
   m_active_conns_->set(static_cast<double>(--open_conns_));
+  if (auto it = readers_.find(conn.get()); it != readers_.end()) {
+    finished_.push_back(std::move(it->second));
+    readers_.erase(it);
+  }
 }
 
 void Server::handle_frame(const std::shared_ptr<Conn>& conn, Frame&& frame) {
@@ -377,10 +384,6 @@ void Server::run_batch_typed(std::vector<Job>& batch) {
     opt.pool = &pool_;
     opt.metrics = metrics_;
     opt.trace = opts_.trace;
-    // One engine pass at a time: the shared pool cannot run two batches
-    // concurrently (Options::pool contract), so dispatchers serialize
-    // here and overlap only their framing/queue work.
-    std::lock_guard lock(engine_mu_);
     (void)sat::compute_sat_batch_into<T>(srcs, dsts, opt);
   } catch (const std::exception& e) {
     failure = e.what();

@@ -4,12 +4,13 @@
 // Threading model (docs/satd.md "Inside the daemon"):
 //   - one accept thread per listener (binary + HTTP);
 //   - one reader thread per client connection, which decodes frames and
-//     either replies inline (PING, errors, backpressure) or enqueues a Job;
-//   - `dispatchers` dispatcher threads, each popping a same-shape batch
-//     from the bounded queue and running it through ONE
-//     sat::compute_sat_batch_into call on the shared, server-owned
-//     ThreadPool (Options::pool), so same-shape requests coalesce into a
-//     single engine pass;
+//     either replies inline (PING, errors, backpressure) or enqueues a Job,
+//     and which is joined once it exits (the next accept reaps it);
+//   - one dispatcher thread, popping a same-shape batch from the bounded
+//     queue and running it through ONE sat::compute_sat_batch_into call on
+//     the server-owned ThreadPool (Options::pool), so same-shape requests
+//     coalesce into a single engine pass. It is the pool's only caller, so
+//     engine passes need no lock;
 //   - replies go back on the request's connection under a per-connection
 //     write mutex (reader replies and dispatcher results interleave
 //     safely).
@@ -26,6 +27,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "core/api.hpp"
@@ -48,10 +50,6 @@ struct ServerOptions {
   std::size_t queue_cap = 64;
   /// Max same-shape jobs coalesced into one engine pass.
   std::size_t batch_max = 8;
-  /// Dispatcher threads. 1 keeps every job on the one shared pool (the
-  /// default: the pool's workers are the parallelism); >1 only pays off
-  /// when jobs are tiny and engine passes don't saturate the pool.
-  std::size_t dispatchers = 1;
   /// Workers of the shared engine pool (0 = hardware concurrency).
   std::size_t cpu_threads = 0;
   /// Tile width forwarded to the engine (0 = automatic).
@@ -64,7 +62,7 @@ struct ServerOptions {
   /// Trace sink for per-request async spans ('b'/'e', id = trace_id).
   /// Null ⇒ no tracing.
   obs::TraceSink* trace = nullptr;
-  /// Test hook: when set, every dispatcher calls this at the top of its
+  /// Test hook: when set, the dispatcher calls this at the top of its
   /// loop, *before* popping a batch. A hook that blocks freezes dispatch,
   /// letting tests fill the queue deterministically.
   std::function<void()> dispatch_hook;
@@ -150,10 +148,6 @@ class Server {
   obs::Registry* metrics_ = nullptr;
 
   sathost::ThreadPool pool_;
-  /// Serializes engine passes: the shared pool runs one batch at a time
-  /// (Options::pool contract), so with dispatchers > 1 only the framing
-  /// and queue work overlap.
-  std::mutex engine_mu_;
   BoundedQueue<Job> queue_;
 
   int listen_fd_ = -1;
@@ -163,10 +157,13 @@ class Server {
 
   std::thread accept_thread_;
   std::thread http_thread_;
-  std::vector<std::thread> dispatcher_threads_;
+  std::thread dispatch_thread_;
   std::mutex conn_mu_;
-  std::vector<std::thread> reader_threads_;
-  std::vector<std::weak_ptr<Conn>> conns_;
+  /// Guarded by conn_mu_: each live reader's thread, keyed by its
+  /// connection (a reader holds its Conn until it erases its entry), and
+  /// the threads of readers that have exited but are not yet joined.
+  std::unordered_map<const Conn*, std::thread> readers_;
+  std::vector<std::thread> finished_;
   std::size_t open_conns_ = 0;  ///< live sockets, guarded by conn_mu_
 
   std::mutex state_mu_;
