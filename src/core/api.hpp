@@ -71,15 +71,15 @@ struct Options {
 
   /// Output storage mode (docs/host_engine.md, "Storage modes"). The
   /// non-dense modes each have one producer, whatever cpu_engine says.
-  /// kTiledResidual runs the SKSS-LB residual encoder (bit-exact for
-  /// integral T while every tile-local SAT fits T — a range extension past
-  /// dense T); through the dense-result entry points it is decoded back
-  /// into the caller's buffer, so use compute_sat_tiled to keep the
-  /// compressed form. cpu_tile_w doubles as the residual tile width
-  /// (0 ⇒ kDefaultResidualTileW). kKahanF32 requires a floating-point
-  /// element type and runs the compensated SIMD sweep (sathost::sat_kahan)
-  /// per image: every cell stays within 1 ulp of the exact sum, past the
-  /// 2^24 boundary where plain f32 drifts.
+  /// kTiledResidual runs sathost::sat_tiled_batch, the two-pass producer
+  /// with no look-back (bit-exact for integral T while every tile-local SAT
+  /// fits T — a range extension past dense T); through the dense-result
+  /// entry points it is decoded back into the caller's buffer, so use
+  /// compute_sat_tiled to keep the compressed form. cpu_tile_w doubles as
+  /// the residual tile width (0 ⇒ kDefaultResidualTileW). kKahanF32
+  /// requires a floating-point element type and runs the compensated SIMD
+  /// sweep (sathost::sat_kahan) per image: every cell stays within 1 ulp of
+  /// the exact sum, past the 2^24 boundary where plain f32 drifts.
   Storage storage = Storage::kDense;
 
   /// Optional observability (see docs/observability.md; neither owned).
@@ -116,10 +116,11 @@ struct BatchResult {
 };
 
 /// Computes the SATs of a batch of equally-shaped matrices. The SKSS-LB
-/// engine and the residual encoder run the whole batch through ONE engine
-/// pass (one claim counter), so tiles of image k+1 pipeline behind the
-/// draining tail of image k (sathost::sat_skss_lb_batch); the other
-/// producers run image-at-a-time.
+/// engine runs the whole batch through ONE engine pass (one claim counter),
+/// so tiles of image k+1 pipeline behind the draining tail of image k
+/// (sathost::sat_skss_lb_batch). kTiledResidual also takes the whole batch
+/// in one call, to sathost::sat_tiled_batch, the two-pass producer with no
+/// look-back; the other producers run image-at-a-time.
 template <class T>
 BatchResult<T> compute_sat_batch(const std::vector<Matrix<T>>& inputs,
                                  const Options& opts = {});
@@ -152,9 +153,9 @@ struct TiledResult {
 
 /// Computes the SAT of `input` in tiled base+residual form without ever
 /// materializing the dense table (Storage::kTiledResidual kept compressed).
-/// Runs the SKSS-LB residual encoder on cpu_threads workers (or
-/// Options::pool); Options::storage and cpu_engine are ignored (this entry
-/// point IS the residual mode).
+/// Runs sathost::sat_tiled_batch, the two-pass producer with no look-back,
+/// on cpu_threads workers (or Options::pool); Options::storage and
+/// cpu_engine are ignored (this entry point IS the residual mode).
 template <class T>
 TiledResult<T> compute_sat_tiled(const Matrix<T>& input,
                                  const Options& opts = {});

@@ -1,8 +1,9 @@
 // satd wire-protocol layer in isolation: encode/decode round-trips,
-// malformed-frame rejection, incremental (byte-at-a-time) decoding, and
-// the doc conformance check — the canonical example frame embedded in
-// docs/satd.md must decode to exactly what the spec says, so the byte-level
-// layout in the doc and the implemented codec cannot drift apart.
+// malformed-frame rejection, incremental (byte-at-a-time) decoding, a
+// seeded mutation run over untrusted bytes, and the doc conformance check —
+// the canonical example frame embedded in docs/satd.md must decode to
+// exactly what the spec says, so the byte-level layout in the doc and the
+// implemented codec cannot drift apart.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,6 +15,7 @@
 
 #include "tools/satd/protocol.hpp"
 #include "tools/satd/queue.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -216,6 +218,93 @@ TEST(SatdProtocol, ErrorPayloadRejectsLengthMismatch) {
   p.push_back('!');  // msg_len no longer matches
   satd::ErrorPayload err;
   EXPECT_FALSE(satd::parse_error_payload(p, err));
+}
+
+TEST(SatdProtocol, MutatedFramesDecodeSafelyAndReencodeExactly) {
+  // satd's loop decodes whatever a client sends, so the codec must hold on
+  // any bytes. 20,000 seeded mutations of valid COMPUTE, PING and ERROR
+  // frames: byte flips, truncations and rewritten length prefixes. Each
+  // buffer is an exact-size heap copy, so under ASan a read past `len`
+  // faults. Every frame accepted must re-encode to exactly the bytes it
+  // consumed, and both payload parsers must return cleanly on it.
+  const std::vector<float> f32{0.5f, 1.5f, -2.0f};
+  const std::vector<std::vector<std::uint8_t>> valid = {
+      satd::encode_frame(Type::kCompute, 1,
+                         i32_payload(2, 3, {1, 2, 3, 4, 5, 6})),
+      satd::encode_frame(
+          Type::kCompute, 2,
+          satd::encode_matrix_payload(3, 1, Dtype::kF32, f32.data(),
+                                      satd::WireStorage::kKahan)),
+      satd::encode_frame(Type::kPing, 3),
+      satd::encode_frame(Type::kError, 4,
+                         satd::encode_error_payload(ErrorCode::kOverloaded,
+                                                    "queue full")),
+  };
+  satutil::Rng rng(18);
+  std::size_t accepted = 0;
+  for (int iter = 0; iter < 20000; ++iter) {
+    std::vector<std::uint8_t> bytes = valid[rng.next_below(valid.size())];
+    // Sometimes a second frame follows, as on a pipelined connection.
+    if (rng.next_below(4) == 0) {
+      const auto& more = valid[rng.next_below(valid.size())];
+      bytes.insert(bytes.end(), more.begin(), more.end());
+    }
+    switch (rng.next_below(3)) {
+      case 0:  // flip 1-4 bytes
+        for (std::uint64_t k = 1 + rng.next_below(4); k > 0; --k)
+          bytes[rng.next_below(bytes.size())] ^=
+              static_cast<std::uint8_t>(1 + rng.next_below(255));
+        break;
+      case 1:  // truncate
+        bytes.resize(rng.next_below(bytes.size()));
+        break;
+      default: {  // rewrite the length prefix: anywhere, near the truth, tiny
+        const std::uint64_t near = bytes.size() - 8 + rng.next_below(9);
+        const std::uint64_t choices[3] = {rng.next_u64(), near,
+                                          rng.next_below(24)};
+        const auto len = static_cast<std::uint32_t>(choices[rng.next_below(3)]);
+        for (int b = 0; b < 4; ++b)
+          bytes[b] = static_cast<std::uint8_t>(len >> (8 * b));
+      }
+    }
+    const std::vector<std::uint8_t> exact(bytes);  // capacity == size
+    const std::size_t limit = rng.next_below(2) == 0
+                                  ? satd::kDefaultMaxFrameBytes
+                                  : 4 + rng.next_below(64);
+    for (std::size_t off = 0;;) {
+      Frame frame;
+      std::size_t consumed = 0;
+      const DecodeStatus st = satd::decode_frame(
+          exact.data() + off, exact.size() - off, frame, consumed, limit);
+      if (st != DecodeStatus::kOk) {
+        ASSERT_EQ(consumed, 0u) << "iteration " << iter;
+        break;
+      }
+      ASSERT_LE(consumed, exact.size() - off) << "iteration " << iter;
+      ASSERT_EQ(satd::encode_frame(frame.type, frame.trace_id, frame.payload),
+                std::vector<std::uint8_t>(exact.begin() + off,
+                                          exact.begin() + off + consumed))
+          << "iteration " << iter;
+      off += consumed;
+      ++accepted;
+
+      satd::MatrixPayload m;
+      if (satd::parse_matrix_payload(frame.payload, m)) {
+        const std::size_t elem = satd::dtype_size(m.dtype);
+        const std::size_t data = frame.payload.size() - satd::kComputeMeta;
+        EXPECT_EQ(data % elem, 0u) << "iteration " << iter;
+        EXPECT_EQ(std::uint64_t{m.rows} * m.cols, data / elem)
+            << "iteration " << iter;
+        EXPECT_EQ(m.data, frame.payload.data() + satd::kComputeMeta);
+      }
+      satd::ErrorPayload err;
+      if (satd::parse_error_payload(frame.payload, err)) {
+        EXPECT_EQ(8 + err.message.size(), frame.payload.size());
+      }
+    }
+  }
+  // The run must reach the accepting path, not only the rejections.
+  EXPECT_GT(accepted, 2000u);
 }
 
 // --- doc conformance ----------------------------------------------------

@@ -1,9 +1,10 @@
 // satd server end-to-end over real loopback sockets: concurrent clients
 // get bit-exact results vs the sat_sequential oracle, a full admission
 // queue replies with the documented OVERLOADED code instead of hanging,
-// draining resumes acceptance, the HTTP shim serves the obs registry, and
+// draining resumes acceptance, the HTTP shim serves the obs registry,
 // per-request trace IDs come out as 'b'/'e' async events, each request's
-// 'b' ahead of its 'e'.
+// 'b' ahead of its 'e', and no client that stops reading or sending holds
+// back another client, the HTTP shim or stop().
 //
 // Every server binds port 0 (ephemeral), so parallel ctest runs never
 // collide.
@@ -11,13 +12,16 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <future>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -80,22 +84,24 @@ TEST(SatdServer, PingPong) {
   server.stop();
 }
 
-/// This process's VmSize in KiB, read from /proc/self/status (0 if absent).
-std::size_t vm_size_kib() {
+/// The number after `key` in /proc/self/status (0 if absent).
+std::size_t proc_status(const std::string& key) {
   std::ifstream status("/proc/self/status");
   std::string line;
   while (std::getline(status, line))
-    if (line.rfind("VmSize:", 0) == 0) return std::stoul(line.substr(7));
+    if (line.rfind(key, 0) == 0) return std::stoul(line.substr(key.size()));
   return 0;
 }
 
+/// This process's VmSize in KiB.
+std::size_t vm_size_kib() { return proc_status("VmSize:"); }
+
 TEST(SatdServer, ConnectionChurnReclaimsReaderThreads) {
   // Sequential connect-PING-close cycles, one connection open at a time.
-  // Each reader thread must be joined once its connection closes; kept
-  // until stop(), every connection held on to an 8 MiB thread stack, and
-  // 64 more cycles grew VmSize by 512 MiB. The bound is half that: a
-  // reader that starts while its predecessor is still exiting may map a
-  // fresh 64 MiB glibc malloc arena (4 of 40 runs grew by 64-72 MiB).
+  // A closed connection must give back all it held: when each one had a
+  // reader thread kept until stop(), every connection held on to an 8 MiB
+  // stack, and 64 more cycles grew VmSize by 512 MiB. The bound is half
+  // that.
   satd::Server server({});
   ASSERT_TRUE(server.start());
   auto cycle = [&](std::uint64_t id) {
@@ -113,6 +119,144 @@ TEST(SatdServer, ConnectionChurnReclaimsReaderThreads) {
   ASSERT_GT(at64, 0u) << "no VmSize line in /proc/self/status";
   EXPECT_LT(at128, at64 + 256 * 1024)
       << "VmSize grew " << (at128 - at64) / 1024 << " MiB over 64 cycles";
+  server.stop();
+}
+
+/// A plain loopback socket connected to `port`, or -1.
+int connect_raw(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  if (fd >= 0 && ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                           sizeof addr) == 0)
+    return fd;
+  if (fd >= 0) ::close(fd);
+  return -1;
+}
+
+bool send_bytes(int fd, const std::vector<std::uint8_t>& bytes) {
+  return ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL) ==
+         static_cast<ssize_t>(bytes.size());
+}
+
+/// Appends what `fd` receives to `buf` until `done(buf)` holds or the peer
+/// closes; false if `timeout_ms` passes first. Waiting through poll() makes
+/// a server that never answers fail the test instead of hanging it.
+template <class Done>
+bool read_within(int fd, std::vector<std::uint8_t>& buf, int timeout_ms,
+                 Done done) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(timeout_ms);
+  std::uint8_t chunk[4096];
+  while (!done(buf)) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                          deadline - std::chrono::steady_clock::now())
+                          .count();
+    pollfd p{fd, POLLIN, 0};
+    if (left <= 0 || ::poll(&p, 1, static_cast<int>(left)) <= 0) return false;
+    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
+    if (n <= 0) return true;
+    buf.insert(buf.end(), chunk, chunk + n);
+  }
+  return true;
+}
+
+/// Reads one whole frame from `fd` within `timeout_ms`.
+bool recv_frame_within(int fd, Frame& out, int timeout_ms) {
+  std::vector<std::uint8_t> buf;
+  const auto whole = [&](const std::vector<std::uint8_t>& b) {
+    std::size_t used = 0;
+    return satd::decode_frame(b.data(), b.size(), out, used) ==
+           satd::DecodeStatus::kOk;
+  };
+  return read_within(fd, buf, timeout_ms, whole) && whole(buf);
+}
+
+TEST(SatdServer, UnreadRepliesHoldBackOnlyTheirClient) {
+  // One client pipelines 16 COMPUTEs of 1024² f32 and never reads its
+  // 64 MiB of replies. They must wait for it alone: another client is
+  // still answered, and stop() still returns, while it stays connected.
+  // A dispatcher replying with a blocking send() stalls on that client
+  // and holds every other client and stop() with it.
+  satd::Server server({});
+  ASSERT_TRUE(server.start());
+  satd::Client hog;
+  ASSERT_TRUE(hog.connect(server.port()));
+  const auto big = sat::Matrix<float>::random(1024, 1024, 1);
+  const auto big_payload = satd::encode_matrix_payload(
+      1024, 1024, Dtype::kF32, big.view().data());
+  for (std::uint64_t id = 1; id <= 16; ++id)
+    ASSERT_TRUE(hog.send(Type::kCompute, id, big_payload));
+
+  const int fd = connect_raw(server.port());
+  ASSERT_GE(fd, 0);
+  const auto small = sat::Matrix<std::int32_t>::random(8, 8, 2);
+  ASSERT_TRUE(send_bytes(
+      fd, satd::encode_frame(Type::kCompute, 99,
+                             satd::encode_matrix_payload(
+                                 8, 8, Dtype::kI32, small.view().data()))));
+  Frame reply;
+  EXPECT_TRUE(recv_frame_within(fd, reply, 5000))
+      << "a client that never reads held back another client";
+  EXPECT_EQ(reply.type, Type::kResult);
+  EXPECT_EQ(reply.trace_id, 99u);
+  ::close(fd);
+
+  std::promise<void> stopped;
+  std::thread stopper([&] {
+    server.stop();
+    stopped.set_value();
+  });
+  EXPECT_EQ(stopped.get_future().wait_for(std::chrono::seconds(10)),
+            std::future_status::ready)
+      << "stop() waited on a client that never reads";
+  hog.close();  // lets a stop() blocked on the hog finish
+  stopper.join();
+}
+
+TEST(SatdServer, OpenConnectionsAddNoThreads) {
+  // Connections are sockets in the server's poll set, not threads: 32
+  // open clients leave the process's thread count where it was.
+  satd::Server server({});
+  ASSERT_TRUE(server.start());
+  const std::size_t before = proc_status("Threads:");
+  ASSERT_GT(before, 0u) << "no Threads line in /proc/self/status";
+  std::vector<int> fds;
+  for (std::uint64_t id = 0; id < 32; ++id) {
+    fds.push_back(connect_raw(server.port()));
+    ASSERT_GE(fds.back(), 0);
+    ASSERT_TRUE(send_bytes(fds.back(), satd::encode_frame(Type::kPing, id)));
+    Frame reply;
+    ASSERT_TRUE(recv_frame_within(fds.back(), reply, 5000));
+    EXPECT_EQ(reply.type, Type::kPong);
+  }
+  EXPECT_EQ(proc_status("Threads:"), before);
+  for (const int fd : fds) ::close(fd);
+  server.stop();
+}
+
+TEST(SatdServer, SilentHttpClientDoesNotBlockMetrics) {
+  // An HTTP client that connects and sends nothing must not hold the
+  // shim: the next client's /healthz is still answered.
+  satd::Server server({});
+  ASSERT_TRUE(server.start());
+  const int silent = connect_raw(server.http_port());
+  ASSERT_GE(silent, 0);
+  const int fd = connect_raw(server.http_port());
+  ASSERT_GE(fd, 0);
+  const std::string req = "GET /healthz HTTP/1.0\r\n\r\n";
+  ASSERT_TRUE(
+      send_bytes(fd, std::vector<std::uint8_t>(req.begin(), req.end())));
+  std::vector<std::uint8_t> buf;
+  EXPECT_TRUE(read_within(fd, buf, 3000, [](const auto&) { return false; }))
+      << "a silent HTTP client held back /healthz";
+  const std::string health(buf.begin(), buf.end());
+  EXPECT_NE(health.find("200 OK"), std::string::npos);
+  EXPECT_NE(health.find("ok\n"), std::string::npos);
+  ::close(fd);
+  ::close(silent);  // lets a shim blocked on it get back to accept()
   server.stop();
 }
 

@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -11,7 +12,9 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <deque>
 #include <exception>
+#include <map>
 #include <string>
 #include <utility>
 
@@ -26,10 +29,16 @@ namespace satd {
 
 namespace {
 
+/// Every read goes through one loop-owned buffer of this size: a length
+/// prefix never sizes an allocation, only bytes that arrived grow one.
+constexpr std::size_t kReadBytes = 1 << 20;
+
+using Clock = std::chrono::steady_clock;
+
 /// Binds a non-blocking localhost listener; returns {fd, bound_port} or
 /// {-1, 0} with a note on stderr.
 std::pair<int, std::uint16_t> make_listener(std::uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
   if (fd < 0) {
     std::perror("satd: socket");
     return {-1, 0};
@@ -51,37 +60,46 @@ std::pair<int, std::uint16_t> make_listener(std::uint16_t port) {
   return {fd, ntohs(addr.sin_port)};
 }
 
-/// accept() gated on a 100 ms poll so the loop can observe shutdown;
-/// returns -1 on timeout or listener teardown.
-int poll_accept(int listen_fd) {
-  pollfd p{listen_fd, POLLIN, 0};
-  const int r = ::poll(&p, 1, /*timeout_ms=*/100);
-  if (r <= 0 || (p.revents & POLLIN) == 0) return -1;
-  return ::accept(listen_fd, nullptr, nullptr);
+std::vector<std::uint8_t> error_frame(std::uint64_t trace_id, ErrorCode code,
+                                      std::string_view msg) {
+  return encode_frame(Type::kError, trace_id, encode_error_payload(code, msg));
 }
-
-bool write_all(int fd, const std::uint8_t* data, std::size_t len) {
-  while (len > 0) {
-    const ssize_t n = ::send(fd, data, len, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    data += n;
-    len -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-double now_us(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::micro>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-std::chrono::steady_clock::time_point g_t0 = std::chrono::steady_clock::now();
 
 }  // namespace
+
+/// One client socket. Only the loop thread touches it, so it needs no lock.
+struct Server::Conn {
+  int fd = -1;
+  bool http = false;     ///< an HTTP shim client: one request, one reply
+  bool closing = false;  ///< read no more; close once `out` is sent
+  std::vector<std::uint8_t> in{};               ///< received, not decoded
+  std::deque<std::vector<std::uint8_t>> out{};  ///< replies, oldest first
+  std::size_t sent = 0;    ///< bytes of out.front() already sent
+  std::size_t unsent = 0;  ///< bytes of `out` not yet sent
+
+  void reply(std::vector<std::uint8_t> bytes) {
+    unsent += bytes.size();
+    out.push_back(std::move(bytes));
+  }
+
+  /// Sends queued replies until the socket would block; false once the
+  /// peer is gone.
+  bool flush() {
+    while (!out.empty()) {
+      const std::vector<std::uint8_t>& front = out.front();
+      const ssize_t n = ::send(fd, front.data() + sent, front.size() - sent,
+                               MSG_NOSIGNAL);
+      if (n < 0) return errno == EAGAIN || errno == EINTR;
+      sent += static_cast<std::size_t>(n);
+      unsent -= static_cast<std::size_t>(n);
+      if (sent == front.size()) {
+        out.pop_front();
+        sent = 0;
+      }
+    }
+    return true;
+  }
+};
 
 Server::Server(ServerOptions opts)
     : opts_(std::move(opts)),
@@ -99,6 +117,11 @@ Server::Server(ServerOptions opts)
 Server::~Server() { stop(); }
 
 bool Server::start() {
+  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (wake_fd_ < 0) {
+    std::perror("satd: eventfd");
+    return false;
+  }
   auto [lfd, lport] = make_listener(opts_.port);
   if (lfd < 0) return false;
   auto [hfd, hport] = make_listener(opts_.http_port);
@@ -122,8 +145,7 @@ bool Server::start() {
   m_active_conns_ = &metrics_->gauge("satd.active_connections");
   if (opts_.trace != nullptr) trace_pid_ = opts_.trace->register_process("satd");
 
-  accept_thread_ = std::thread([this] { accept_loop(); });
-  http_thread_ = std::thread([this] { http_loop(); });
+  loop_thread_ = std::thread([this] { loop(); });
   dispatch_thread_ = std::thread([this] { dispatcher_loop(); });
   return true;
 }
@@ -134,11 +156,6 @@ void Server::request_stop() {
     stop_requested_ = true;
   }
   state_cv_.notify_all();
-}
-
-void Server::wait() {
-  std::unique_lock lock(state_mu_);
-  state_cv_.wait(lock, [&] { return stop_requested_; });
 }
 
 bool Server::wait_for_ms(int timeout_ms) {
@@ -159,120 +176,135 @@ void Server::stop() {
   // Drain: the dispatcher answers everything already admitted, then exits.
   queue_.close();
   if (dispatch_thread_.joinable()) dispatch_thread_.join();
+  // Its last replies are in the outbox now. The loop sends what it holds
+  // for at most kDrainMs, closes every socket and returns.
+  {
+    std::lock_guard lock(outbox_mu_);
+    drain_ = true;
+  }
+  eventfd_write(wake_fd_, 1);
+  if (loop_thread_.joinable()) loop_thread_.join();  // not if start() failed
+  ::close(wake_fd_);
+}
 
-  // Stop accepting (the accept/http loops poll the stop flag), then force
-  // every blocked reader out of recv().
-  for (std::thread* t : {&accept_thread_, &http_thread_})
-    if (t->joinable()) t->join();  // not if start() failed
+void Server::loop() {
+  std::vector<std::uint8_t> buf(kReadBytes);
+  // Ids only grow, so a connection accepted during an iteration sorts
+  // after every polled one: conns iterates in the order of fds[3...].
+  std::map<std::uint64_t, Conn> conns;
+  std::uint64_t next_id = 0;
+  std::size_t binary_conns = 0;
+  std::vector<pollfd> fds;
+  bool draining = false;
+  Clock::time_point deadline;
+  for (;;) {
+    fds.assign({{wake_fd_, POLLIN, 0},
+                {listen_fd_, POLLIN, 0},
+                {http_fd_, POLLIN, 0}});
+    bool unsent = false;
+    for (const auto& [id, c] : conns) {
+      // A client over kMaxUnsentBytes is not read until it takes its
+      // replies, and nothing is read once stop() drains.
+      const bool read = !draining && !c.closing && c.unsent <= kMaxUnsentBytes;
+      const int events = (read ? POLLIN : 0) | (c.out.empty() ? 0 : POLLOUT);
+      fds.push_back({c.fd, static_cast<short>(events), 0});
+      unsent = unsent || !c.out.empty();
+    }
+    if (draining && (!unsent || Clock::now() >= deadline)) break;
+    // While draining, wake often enough to honor the deadline.
+    if (::poll(fds.data(), fds.size(), draining ? 10 : -1) < 0) continue;
+
+    eventfd_t wakes = 0;
+    if ((fds[0].revents & POLLIN) != 0 && eventfd_read(wake_fd_, &wakes) == 0) {
+      decltype(outbox_) replies;
+      {
+        std::lock_guard lock(outbox_mu_);
+        replies.swap(outbox_);
+        if (drain_ && !draining)
+          deadline = Clock::now() + std::chrono::milliseconds(kDrainMs);
+        draining = drain_;
+      }
+      // A reply whose connection has closed has no one to go to.
+      for (auto& [id, bytes] : replies)
+        if (const auto it = conns.find(id); it != conns.end())
+          it->second.reply(std::move(bytes));
+    }
+    for (const std::size_t k : {1, 2}) {
+      if ((fds[k].revents & POLLIN) == 0) continue;
+      for (int fd; (fd = ::accept4(fds[k].fd, nullptr, nullptr,
+                                   SOCK_NONBLOCK | SOCK_CLOEXEC)) >= 0;) {
+        conns.emplace(next_id++, Conn{.fd = fd, .http = k == 2});
+        if (k == 1) m_active_conns_->set(static_cast<double>(++binary_conns));
+      }
+    }
+    auto next = conns.begin();
+    for (std::size_t k = 3; k < fds.size(); ++k) {
+      const auto it = next++;
+      Conn& c = it->second;
+      // POLLHUP or POLLERR: the peer reset the connection or is gone, so
+      // nothing sent to it can arrive any more.
+      const short ev = fds[k].revents;
+      bool open = (ev & (POLLHUP | POLLERR)) == 0;
+      if (open && (ev & POLLIN) != 0) open = receive(it->first, c, buf);
+      if (open && !c.out.empty()) open = c.flush();
+      if (open && !(c.closing && c.out.empty())) continue;
+      ::close(c.fd);
+      if (!c.http) m_active_conns_->set(static_cast<double>(--binary_conns));
+      conns.erase(it);
+    }
+  }
+  for (const auto& [id, c] : conns) ::close(c.fd);
   ::close(listen_fd_);
   ::close(http_fd_);
-  listen_fd_ = http_fd_ = -1;
-  close_all_connections();
-  std::vector<std::thread> readers;
-  {
-    std::lock_guard lock(conn_mu_);
-    readers.swap(finished_);
-    for (auto& [conn, t] : readers_) readers.push_back(std::move(t));
-    readers_.clear();
-  }
-  for (auto& t : readers) t.join();
 }
 
-void Server::close_all_connections() {
-  std::lock_guard lock(conn_mu_);
-  for (const auto& [conn, t] : readers_)
-    if (conn->fd >= 0) ::shutdown(conn->fd, SHUT_RDWR);
-}
-
-void Server::accept_loop() {
-  for (;;) {
-    {
-      std::lock_guard lock(state_mu_);
-      if (stop_requested_) return;
+bool Server::receive(std::uint64_t id, Conn& c,
+                     std::vector<std::uint8_t>& buf) {
+  const ssize_t n = ::recv(c.fd, buf.data(), buf.size(), 0);
+  if (n <= 0) return n < 0 && (errno == EAGAIN || errno == EINTR);  // 0: EOF
+  c.in.insert(c.in.end(), buf.data(), buf.data() + n);
+  if (c.http) answer_http(c);
+  std::size_t off = 0;
+  while (!c.closing) {
+    Frame frame;
+    std::size_t consumed = 0;
+    const DecodeStatus st =
+        decode_frame(c.in.data() + off, c.in.size() - off, frame, consumed,
+                     opts_.max_frame_bytes);
+    if (st == DecodeStatus::kNeedMore) break;
+    if (st != DecodeStatus::kOk) {
+      // Framing is lost: reply once, then close once that is sent.
+      m_bad_frames_->add();
+      c.reply(error_frame(0,
+                          st == DecodeStatus::kTooLarge ? ErrorCode::kTooLarge
+                                                        : ErrorCode::kBadFrame,
+                          "frame rejected: " +
+                              std::string(decode_status_name(st))));
+      c.closing = true;
+      break;
     }
-    const int fd = poll_accept(listen_fd_);
-    if (fd < 0) continue;
-    auto conn = std::make_shared<Conn>();
-    conn->fd = fd;
-    std::vector<std::thread> exited;
-    {
-      // Held while the reader starts, so its exit always finds its entry.
-      std::lock_guard lock(conn_mu_);
-      exited.swap(finished_);
-      const Conn* key = conn.get();
-      readers_[key] =
-          std::thread([this, c = std::move(conn)] { reader_loop(c); });
-      m_active_conns_->set(static_cast<double>(++open_conns_));
-    }
-    for (auto& t : exited) t.join();  // reap: each gives back its stack
+    off += consumed;
+    handle_frame(id, c, std::move(frame));
   }
+  c.in.erase(c.in.begin(), c.in.begin() + static_cast<std::ptrdiff_t>(off));
+  return true;
 }
 
-void Server::reader_loop(std::shared_ptr<Conn> conn) {
-  std::vector<std::uint8_t> buf;
-  std::uint8_t chunk[64 * 1024];
-  for (;;) {
-    const ssize_t n = ::recv(conn->fd, chunk, sizeof chunk, 0);
-    if (n <= 0) break;  // peer closed, or stop() shut the socket down
-    buf.insert(buf.end(), chunk, chunk + n);
-    std::size_t off = 0;
-    bool drop = false;
-    for (;;) {
-      Frame frame;
-      std::size_t consumed = 0;
-      const DecodeStatus st = decode_frame(buf.data() + off, buf.size() - off,
-                                           frame, consumed,
-                                           opts_.max_frame_bytes);
-      if (st == DecodeStatus::kNeedMore) break;
-      if (st != DecodeStatus::kOk) {
-        // Framing is lost: reply once, then drop the connection.
-        m_bad_frames_->add();
-        const ErrorCode code = st == DecodeStatus::kTooLarge
-                                   ? ErrorCode::kTooLarge
-                                   : ErrorCode::kBadFrame;
-        send_error(conn, 0, code,
-                   std::string("frame rejected: ") +
-                       std::string(decode_status_name(st)));
-        drop = true;
-        break;
-      }
-      off += consumed;
-      handle_frame(conn, std::move(frame));
-    }
-    if (drop) break;
-    buf.erase(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(off));
-  }
-  // Park the fd under both mutexes: write_mu so a dispatcher mid-reply
-  // never writes into a recycled descriptor, conn_mu_ so
-  // close_all_connections never shuts one down. That lets
-  // close_all_connections stay off write_mu, so stop() never waits behind
-  // a reply blocked in write_all. Then, unless stop() took it, park this
-  // thread in finished_ for the next accept to join.
-  std::scoped_lock lock(conn_mu_, conn->write_mu);
-  ::close(conn->fd);
-  conn->fd = -1;
-  m_active_conns_->set(static_cast<double>(--open_conns_));
-  if (auto it = readers_.find(conn.get()); it != readers_.end()) {
-    finished_.push_back(std::move(it->second));
-    readers_.erase(it);
-  }
-}
-
-void Server::handle_frame(const std::shared_ptr<Conn>& conn, Frame&& frame) {
+void Server::handle_frame(std::uint64_t id, Conn& c, Frame&& frame) {
   switch (frame.type) {
     case Type::kPing:
-      send_bytes(conn, encode_frame(Type::kPong, frame.trace_id));
+      c.reply(encode_frame(Type::kPong, frame.trace_id));
       return;
     case Type::kShutdown:
       // Ack first so the client sees the frame was honored, then begin
       // the drain; in-flight jobs still complete.
-      send_bytes(conn, encode_frame(Type::kPong, frame.trace_id));
+      c.reply(encode_frame(Type::kPong, frame.trace_id));
       request_stop();
       return;
     case Type::kCompute: break;
     default:
-      send_error(conn, frame.trace_id, ErrorCode::kUnsupported,
-                 "unexpected frame type");
+      c.reply(error_frame(frame.trace_id, ErrorCode::kUnsupported,
+                          "unexpected frame type"));
       return;
   }
 
@@ -280,20 +312,20 @@ void Server::handle_frame(const std::shared_ptr<Conn>& conn, Frame&& frame) {
   {
     std::lock_guard lock(state_mu_);
     if (stop_requested_) {
-      send_error(conn, frame.trace_id, ErrorCode::kShuttingDown,
-                 "server is draining");
+      c.reply(error_frame(frame.trace_id, ErrorCode::kShuttingDown,
+                          "server is draining"));
       return;
     }
   }
   MatrixPayload m;
   if (!parse_matrix_payload(frame.payload, m)) {
-    send_error(conn, frame.trace_id, ErrorCode::kUnsupported,
-               "malformed COMPUTE payload");
+    c.reply(error_frame(frame.trace_id, ErrorCode::kUnsupported,
+                        "malformed COMPUTE payload"));
     return;
   }
 
   Job job;
-  job.conn = conn;
+  job.conn = id;
   job.trace_id = frame.trace_id;
   job.rows = m.rows;
   job.cols = m.cols;
@@ -303,7 +335,7 @@ void Server::handle_frame(const std::shared_ptr<Conn>& conn, Frame&& frame) {
       static_cast<std::size_t>(m.rows) * m.cols * dtype_size(m.dtype);
   job.elements.resize((nbytes + 7) / 8);
   std::memcpy(job.elements.data(), m.data, nbytes);
-  job.enqueue_ts_us = now_us(g_t0);
+  job.enqueued = Clock::now();
 
   // The span opens before the push: once the job is queued a dispatcher
   // may run it and record the 'e' at any moment.
@@ -318,8 +350,8 @@ void Server::handle_frame(const std::shared_ptr<Conn>& conn, Frame&& frame) {
   }
   if (!queue_.try_push(std::move(job))) {
     m_rejected_->add();
-    send_error(conn, frame.trace_id, ErrorCode::kOverloaded,
-               "admission queue full; retry with backoff");
+    c.reply(error_frame(frame.trace_id, ErrorCode::kOverloaded,
+                        "admission queue full; retry with backoff"));
     if (opts_.trace != nullptr)
       opts_.trace->async_end(trace_pid_, frame.trace_id, "request", "satd",
                              opts_.trace->now_host_us(),
@@ -327,6 +359,30 @@ void Server::handle_frame(const std::shared_ptr<Conn>& conn, Frame&& frame) {
     return;
   }
   m_queue_depth_->record(queue_.size());
+}
+
+void Server::answer_http(Conn& c) {
+  const std::string_view request(reinterpret_cast<const char*>(c.in.data()),
+                                 c.in.size());
+  std::string body = "not found\n", status = "404 Not Found",
+              content_type = "text/plain; charset=utf-8";
+  if (request.rfind("GET /metrics", 0) == 0) {
+    status = "200 OK";
+    content_type = "application/json";
+    body = metrics_->snapshot().to_json();
+    body += '\n';
+  } else if (request.rfind("GET /healthz", 0) == 0) {
+    status = "200 OK";
+    body = "ok\n";
+  }
+  char head[160];
+  std::snprintf(head, sizeof head,
+                "HTTP/1.0 %s\r\nContent-Type: %s\r\n"
+                "Content-Length: %zu\r\nConnection: close\r\n\r\n",
+                status.c_str(), content_type.c_str(), body.size());
+  c.reply(std::vector<std::uint8_t>(head, head + std::strlen(head)));
+  c.reply(std::vector<std::uint8_t>(body.begin(), body.end()));
+  c.closing = true;
 }
 
 void Server::dispatcher_loop() {
@@ -391,76 +447,27 @@ void Server::run_batch_typed(std::vector<Job>& batch) {
 
   for (std::size_t b = 0; b < batch.size(); ++b) {
     Job& job = batch[b];
-    if (failure.empty()) {
-      const auto payload = encode_matrix_payload(
-          rows, cols, job.dtype, results[b].data());
-      // Counted before the send, so a client holding its reply also sees
-      // it in satd.responses_total (send_bytes reports no failure anyway).
-      m_responses_->add();
-      send_bytes(job.conn, encode_frame(Type::kResult, job.trace_id, payload));
-    } else {
-      send_error(job.conn, job.trace_id, ErrorCode::kInternal, failure);
+    // Counted before the hand-off, so a client holding its reply also sees
+    // it in satd.responses_total.
+    if (failure.empty()) m_responses_->add();
+    std::vector<std::uint8_t> reply =
+        failure.empty()
+            ? encode_frame(Type::kResult, job.trace_id,
+                           encode_matrix_payload(rows, cols, job.dtype,
+                                                 results[b].data()))
+            : error_frame(job.trace_id, ErrorCode::kInternal, failure);
+    {
+      std::lock_guard lock(outbox_mu_);
+      outbox_.emplace_back(job.conn, std::move(reply));
     }
+    eventfd_write(wake_fd_, 1);
     m_request_us_->record(static_cast<std::uint64_t>(
-        now_us(g_t0) - job.enqueue_ts_us));
+        std::chrono::duration<double, std::micro>(Clock::now() - job.enqueued)
+            .count()));
     if (opts_.trace != nullptr) {
       opts_.trace->async_end(trace_pid_, job.trace_id, "request", "satd",
                              opts_.trace->now_host_us());
     }
-  }
-}
-
-void Server::send_error(const std::shared_ptr<Conn>& conn,
-                        std::uint64_t trace_id, ErrorCode code,
-                        std::string_view msg) {
-  send_bytes(conn, encode_frame(Type::kError, trace_id,
-                                encode_error_payload(code, msg)));
-}
-
-void Server::send_bytes(const std::shared_ptr<Conn>& conn,
-                        const std::vector<std::uint8_t>& bytes) {
-  std::lock_guard lock(conn->write_mu);
-  if (conn->fd < 0) return;
-  (void)write_all(conn->fd, bytes.data(), bytes.size());
-}
-
-void Server::http_loop() {
-  for (;;) {
-    {
-      std::lock_guard lock(state_mu_);
-      if (stop_requested_) return;
-    }
-    const int fd = poll_accept(http_fd_);
-    if (fd < 0) continue;
-    char req[4096];
-    const ssize_t n = ::recv(fd, req, sizeof req - 1, 0);
-    std::string body, status = "404 Not Found",
-                 content_type = "text/plain; charset=utf-8";
-    if (n > 0) {
-      req[n] = '\0';
-      const std::string_view line(req);
-      if (line.rfind("GET /metrics", 0) == 0) {
-        status = "200 OK";
-        content_type = "application/json";
-        body = metrics_->snapshot().to_json();
-        body += '\n';
-      } else if (line.rfind("GET /healthz", 0) == 0) {
-        status = "200 OK";
-        body = "ok\n";
-      } else {
-        body = "not found\n";
-      }
-    }
-    char head[160];
-    std::snprintf(head, sizeof head,
-                  "HTTP/1.0 %s\r\nContent-Type: %s\r\n"
-                  "Content-Length: %zu\r\nConnection: close\r\n\r\n",
-                  status.c_str(), content_type.c_str(), body.size());
-    (void)write_all(fd, reinterpret_cast<const std::uint8_t*>(head),
-                    std::strlen(head));
-    (void)write_all(fd, reinterpret_cast<const std::uint8_t*>(body.data()),
-                    body.size());
-    ::close(fd);
   }
 }
 

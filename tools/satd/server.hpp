@@ -1,33 +1,25 @@
 // satd server core: TCP listener + admission queue + batching dispatcher
 // + localhost HTTP shim for /metrics and /healthz.
 //
-// Threading model (docs/satd.md "Inside the daemon"):
-//   - one accept thread per listener (binary + HTTP);
-//   - one reader thread per client connection, which decodes frames and
-//     either replies inline (PING, errors, backpressure) or enqueues a Job,
-//     and which is joined once it exits (the next accept reaps it);
-//   - one dispatcher thread, popping a same-shape batch from the bounded
-//     queue and running it through ONE sat::compute_sat_batch_into call on
-//     the server-owned ThreadPool (Options::pool), so same-shape requests
-//     coalesce into a single engine pass. It is the pool's only caller, so
-//     engine passes need no lock;
-//   - replies go back on the request's connection under a per-connection
-//     write mutex (reader replies and dispatcher results interleave
-//     safely).
-//
-// Nothing here blocks the accept path on compute: admission is a
-// non-blocking try_push and a full queue turns into an immediate
-// kOverloaded reply — the explicit-backpressure contract the tests pin.
+// Two threads, not counting the engine pool (docs/satd.md "Inside the
+// daemon"): the loop thread owns every socket and never blocks on one, and
+// the dispatcher runs each same-shape batch through ONE
+// sat::compute_sat_batch_into call on the server-owned ThreadPool
+// (Options::pool), whose only caller it is, so engine passes need no lock.
+// The dispatcher hands its replies to the loop through a mutex-guarded
+// outbox. Admission is a non-blocking try_push: a full queue turns into an
+// immediate kOverloaded reply — the explicit-backpressure contract the
+// tests pin.
 #pragma once
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/api.hpp"
@@ -68,6 +60,15 @@ struct ServerOptions {
   std::function<void()> dispatch_hook;
 };
 
+/// A connection whose queued, unsent replies exceed this many bytes is not
+/// read again until they drain below it: a client that sends but never
+/// reads stalls itself, not the server's memory.
+inline constexpr std::size_t kMaxUnsentBytes = kDefaultMaxFrameBytes;
+
+/// stop() sends the replies already queued for at most this long, then
+/// closes every socket, so a client that never reads cannot hold it.
+inline constexpr int kDrainMs = 1000;
+
 class Server {
  public:
   explicit Server(ServerOptions opts);
@@ -76,22 +77,20 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds both listeners and spawns the accept / dispatcher / HTTP
-  /// threads. Returns false (with a message on stderr) on bind failure.
+  /// Binds both listeners and spawns the loop and dispatcher threads.
+  /// Returns false (with a message on stderr) on bind failure.
   [[nodiscard]] bool start();
 
-  /// Full teardown: stop accepting, drain the queue, answer everything
-  /// in flight, close connections, join every thread. Idempotent. Must
-  /// not be called from a server-owned thread — use request_stop() there.
+  /// Full teardown: refuse new work, drain the queue, send what is queued
+  /// for at most kDrainMs, close every socket, join both threads.
+  /// Idempotent. Must not be called from a server-owned thread — use
+  /// request_stop() there.
   void stop();
 
-  /// Async shutdown trigger, safe from reader threads (SHUTDOWN frame)
+  /// Async shutdown trigger, safe from the loop thread (SHUTDOWN frame)
   /// and from the signal-watching loop in satd's main. Marks the server
-  /// draining — new jobs get kShuttingDown — and wakes wait().
+  /// draining — new jobs get kShuttingDown — and wakes wait_for_ms().
   void request_stop();
-
-  /// Blocks until request_stop() (or stop()) is called.
-  void wait();
 
   /// Bounded wait; returns true once stop has been requested. Lets satd's
   /// main interleave waiting with signal-flag polling (a signal handler
@@ -106,15 +105,12 @@ class Server {
   [[nodiscard]] obs::Registry& registry() { return *metrics_; }
 
  private:
-  struct Conn {
-    /// Cleared (-1) only under both conn_mu_ and write_mu, so either one
-    /// suffices to read it.
-    int fd = -1;
-    std::mutex write_mu;
-  };
+  struct Conn;  // one client socket, owned by the loop thread (server.cpp)
 
   struct Job {
-    std::shared_ptr<Conn> conn;
+    /// The connection's id. Ids are never reused, so a reply that outlives
+    /// its connection is dropped instead of reaching a recycled fd.
+    std::uint64_t conn = 0;
     std::uint64_t trace_id = 0;
     std::uint32_t rows = 0;
     std::uint32_t cols = 0;
@@ -126,22 +122,17 @@ class Server {
     /// Element bytes, 8-aligned so spans of any supported dtype can view
     /// them directly.
     std::vector<std::uint64_t> elements;
-    double enqueue_ts_us = 0.0;
+    std::chrono::steady_clock::time_point enqueued;
   };
 
-  void accept_loop();
-  void reader_loop(std::shared_ptr<Conn> conn);
+  void loop();
+  bool receive(std::uint64_t id, Conn& c, std::vector<std::uint8_t>& buf);
+  void handle_frame(std::uint64_t id, Conn& c, Frame&& frame);
+  void answer_http(Conn& c);
   void dispatcher_loop();
-  void http_loop();
-  void handle_frame(const std::shared_ptr<Conn>& conn, Frame&& frame);
   void run_batch(std::vector<Job>& batch);
   template <class T>
   void run_batch_typed(std::vector<Job>& batch);
-  void send_error(const std::shared_ptr<Conn>& conn, std::uint64_t trace_id,
-                  ErrorCode code, std::string_view msg);
-  void send_bytes(const std::shared_ptr<Conn>& conn,
-                  const std::vector<std::uint8_t>& bytes);
-  void close_all_connections();
 
   ServerOptions opts_;
   std::unique_ptr<obs::Registry> owned_metrics_;
@@ -152,24 +143,20 @@ class Server {
 
   int listen_fd_ = -1;
   int http_fd_ = -1;
+  int wake_fd_ = -1;  ///< eventfd: the dispatcher and stop() wake the loop
   std::uint16_t port_ = 0;
   std::uint16_t http_port_ = 0;
-
-  std::thread accept_thread_;
-  std::thread http_thread_;
-  std::thread dispatch_thread_;
-  std::mutex conn_mu_;
-  /// Guarded by conn_mu_: each live reader's thread, keyed by its
-  /// connection (a reader holds its Conn until it erases its entry), and
-  /// the threads of readers that have exited but are not yet joined.
-  std::unordered_map<const Conn*, std::thread> readers_;
-  std::vector<std::thread> finished_;
-  std::size_t open_conns_ = 0;  ///< live sockets, guarded by conn_mu_
 
   std::mutex state_mu_;
   std::condition_variable state_cv_;
   bool stop_requested_ = false;
   bool stopped_ = false;
+
+  std::mutex outbox_mu_;
+  /// Guarded by outbox_mu_: replies the dispatcher has handed over, by
+  /// connection id, and whether stop() has joined the dispatcher.
+  std::vector<std::pair<std::uint64_t, std::vector<std::uint8_t>>> outbox_;
+  bool drain_ = false;
 
   int trace_pid_ = 0;
 
@@ -184,6 +171,9 @@ class Server {
   obs::Histogram* m_queue_depth_ = nullptr;
   obs::Histogram* m_request_us_ = nullptr;
   obs::Gauge* m_active_conns_ = nullptr;
+
+  std::thread loop_thread_;
+  std::thread dispatch_thread_;
 };
 
 }  // namespace satd
