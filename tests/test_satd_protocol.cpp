@@ -195,6 +195,34 @@ TEST(SatdProtocol, MatrixPayloadRejectsMalformed) {
   EXPECT_FALSE(satd::parse_matrix_payload(p, m));
 }
 
+// Shapes whose byte count wraps u64 claim a body that their bytes do not
+// hold: 2^31 × 2^31 f32 and i32, and 2^31 × 2^30 i64, wrap to 0 bytes, and
+// (2^31 − 2^16 + 1)(2^31 + 2^16 + 1) = 2^62 + 1 f32 elements wrap to one.
+TEST(SatdProtocol, MatrixPayloadRejectsShapesWhoseBytesWrap) {
+  auto payload = [](std::uint32_t rows, std::uint32_t cols, Dtype dtype,
+                    std::size_t body) {
+    std::vector<std::uint8_t> p;
+    satd::put_u32(p, rows);
+    satd::put_u32(p, cols);
+    satd::put_u16(p, static_cast<std::uint16_t>(dtype));
+    p.push_back(0);  // storage: dense
+    p.push_back(0);  // reserved
+    p.resize(p.size() + body, 0);
+    return p;
+  };
+  satd::MatrixPayload m;
+  EXPECT_FALSE(satd::parse_matrix_payload(
+      payload(1u << 31, 1u << 31, Dtype::kF32, 0), m));
+  EXPECT_FALSE(satd::parse_matrix_payload(
+      payload(1u << 31, 1u << 31, Dtype::kI32, 0), m));
+  EXPECT_FALSE(satd::parse_matrix_payload(
+      payload(1u << 31, 1u << 30, Dtype::kI64, 0), m));
+  EXPECT_FALSE(satd::parse_matrix_payload(
+      payload(2147418113u, 2147549185u, Dtype::kF32, 4), m));
+  // The same builder makes a well-formed payload when the bytes match.
+  EXPECT_TRUE(satd::parse_matrix_payload(payload(3, 5, Dtype::kI64, 120), m));
+}
+
 TEST(SatdProtocol, MatrixPayloadStorageByteRoundTrips) {
   // storage rides in byte 10 of the metadata (low half of the former
   // reserved u16); the default-dense encoding keeps historical frames

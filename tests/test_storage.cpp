@@ -348,6 +348,80 @@ TEST(TiledResidual, TiledMomentTablesDriveTemplateMatching) {
   EXPECT_EQ(classic[0].row, via_tiled[0].row);
 }
 
+// --- Recycled planes ----------------------------------------------------
+// satutil::large_array parks freed blocks from 2 MiB up and hands each to
+// the next request of its size, so a store of a repeated shape gets the
+// planes of the store before it, stale values included. At 1000×1100 and
+// W = 256 (20 slots of 256²) every residual plane is at least 2 MiB, and
+// the clipped edge tiles leave stale values beyond their live region.
+
+TEST(TiledResidual, RecycledPlanesStayExact) {
+  using Enc = TiledSat<std::int64_t>::TileEnc;
+  const std::size_t rows = 1000, cols = 1100, w = 256;
+  {
+    // Byte values: every tile-local range is past u16, so all in u32.
+    const auto bytes = Matrix<std::int64_t>::random(rows, cols, 61, 0, 255);
+    TiledSat<std::int64_t> t(rows, cols, w);
+    encode(bytes, t, 3);
+    for (std::size_t k = 0; k < t.tile_count(); ++k)
+      ASSERT_EQ(t.enc(k), Enc::kU32) << "tile " << k;
+  }
+  // Tiles by (ti + tj) % 3: bits (u16), bytes (u32), and ~2^38 spikes
+  // that overflow u32 (wide).
+  Matrix<std::int64_t> in(rows, cols);
+  satutil::Rng rng(62);
+  for (std::size_t i = 0; i < rows; ++i)
+    for (std::size_t j = 0; j < cols; ++j) {
+      const std::size_t kind = (i / w + j / w) % 3;
+      auto v = static_cast<std::int64_t>(rng.next_below(kind == 0 ? 2 : 256));
+      if (kind == 2 && (i + j) % 7 == 0) v += std::int64_t{1} << 38;
+      in(i, j) = v;
+    }
+  TiledSat<std::int64_t> t(rows, cols, w);
+  encode(in, t, 3);
+  std::size_t per_enc[4] = {};
+  for (std::size_t k = 0; k < t.tile_count(); ++k)
+    ++per_enc[static_cast<std::size_t>(t.enc(k))];
+  EXPECT_GT(per_enc[static_cast<std::size_t>(Enc::kU16)], 0u);
+  EXPECT_GT(per_enc[static_cast<std::size_t>(Enc::kU32)], 0u);
+  EXPECT_GT(per_enc[static_cast<std::size_t>(Enc::kWide)], 0u);
+  const auto oracle = oracle_i64(in);
+  for (std::size_t i = 0; i < rows; ++i)
+    for (std::size_t j = 0; j < cols; ++j)
+      ASSERT_EQ(t.value(i, j), oracle(i, j)) << i << "," << j;
+  for (const Rect& r : random_rects(rows, cols, 500, 63))
+    ASSERT_EQ(sat::region_sum(t, r), sat::region_sum(oracle, r));
+}
+
+// The same for TiledSat<double>, through two TiledMomentTables builds. The
+// second image's values are 0..3, so every tile-local sum and sum of
+// squares is an integer below 2^24: exact in the f32 plane, and so
+// comparable bit for bit with the i64 oracles.
+TEST(TiledResidual, RecycledMomentTablesStayExact) {
+  const std::size_t rows = 1000, cols = 1100;
+  (void)satvision::TiledMomentTables::build(
+      Matrix<std::int32_t>::random(rows, cols, 71, 0, 255));
+  const auto in = Matrix<std::int32_t>::random(rows, cols, 72, 0, 3);
+  Matrix<std::int32_t> sq(rows, cols);
+  for (std::size_t i = 0; i < rows; ++i)
+    for (std::size_t j = 0; j < cols; ++j) sq(i, j) = in(i, j) * in(i, j);
+  const auto t = satvision::TiledMomentTables::build(in);
+  const auto sum = oracle_i64(in), sum_sq = oracle_i64(sq);
+  for (std::size_t i = 0; i < rows; ++i)
+    for (std::size_t j = 0; j < cols; ++j) {
+      ASSERT_EQ(t.sum.value(i, j), static_cast<double>(sum(i, j)))
+          << i << "," << j;
+      ASSERT_EQ(t.sum_sq.value(i, j), static_cast<double>(sum_sq(i, j)))
+          << i << "," << j;
+    }
+  for (const Rect& r : random_rects(rows, cols, 500, 73)) {
+    ASSERT_EQ(sat::region_sum(t.sum, r),
+              static_cast<double>(sat::region_sum(sum, r)));
+    ASSERT_EQ(sat::region_sum(t.sum_sq, r),
+              static_cast<double>(sat::region_sum(sum_sq, r)));
+  }
+}
+
 // --- API plumbing -------------------------------------------------------
 
 TEST(StorageApi, ComputeSatTiledKeepsCompressedForm) {

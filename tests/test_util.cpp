@@ -1,14 +1,22 @@
 // Unit tests for the util module: Span2d, Rng, formatting, argparse,
-// large_array.
+// large_array and its recycling of freed huge blocks.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#if defined(__linux__)
+#include <sys/resource.h>
+#endif
+
+#include "host/thread_pool.hpp"
 #include "util/argparse.hpp"
 #include "util/check.hpp"
 #include "util/format.hpp"
@@ -26,6 +34,136 @@ using satutil::TextTable;
 
 std::uintptr_t address_of(const void* p) {
   return reinterpret_cast<std::uintptr_t>(p);
+}
+
+constexpr std::size_t kHuge = satutil::kHugePageBytes;
+
+// First in the file on purpose: its first block must be fresh. The tests
+// below free blocks to glibc, which raises its mmap threshold when a
+// mapped block is freed, so a later 8 MiB block could come from the heap
+// already faulted in, recycled or not.
+TEST(LargeArray, RewritingARecycledBlockFaultsLessThanFirstTouch) {
+#if defined(__linux__)
+  constexpr std::size_t kBytes = 4 * kHuge;  // 8 MiB
+  auto minor_faults = [] {
+    rusage u{};
+    getrusage(RUSAGE_THREAD, &u);
+    return u.ru_minflt;
+  };
+  auto touch = [&](satutil::LargeArray<std::uint8_t>& a) {
+    const long before = minor_faults();
+    std::memset(a.get(), 0x5a, kBytes);
+    const long faults = minor_faults() - before;
+    EXPECT_EQ(a[kBytes - 1], 0x5a);
+    return faults;
+  };
+  auto a = satutil::large_array<std::uint8_t>(kBytes);
+  const long first = touch(a);
+  a.reset();  // parked
+  auto b = satutil::large_array<std::uint8_t>(kBytes);
+  const long again = touch(b);
+  EXPECT_LT(again, first) << "first touch " << first << " faults, rewrite "
+                          << again;
+#else
+  GTEST_SKIP() << "minor-fault counts are read on Linux only";
+#endif
+}
+
+TEST(LargeArray, FreedHugeBlockOfTheSameRoundedSizeComesBack) {
+  auto a = satutil::large_array<std::uint32_t>(4 * kHuge / 4);
+  const void* at = a.get();
+  a.reset();
+  // Another element type and a count that rounds up to the same 8 MiB.
+  const auto b = satutil::large_array<std::uint8_t>(3 * kHuge + 1);
+  EXPECT_EQ(b.get(), at);
+  EXPECT_EQ(b.get_deleter().bytes, 4 * kHuge);
+}
+
+TEST(LargeArray, OtherSizesAndSmallBlocksNeverComeBack) {
+  auto a = satutil::large_array<std::uint8_t>(2 * kHuge);
+  const void* at = a.get();
+  a.reset();
+  // A parked block stays allocated, so a fresh block never shares its
+  // address: neighbouring rounded sizes do not get it.
+  {
+    const auto smaller = satutil::large_array<std::uint8_t>(kHuge);
+    const auto larger = satutil::large_array<std::uint8_t>(2 * kHuge + 1);
+    EXPECT_NE(smaller.get(), at);
+    EXPECT_NE(larger.get(), at);
+  }
+  EXPECT_EQ(satutil::large_array<std::uint8_t>(2 * kHuge).get(), at);
+
+  // Fill the list with kMaxParkedBlocks blocks of one size, then free a
+  // block just under 2 MiB: had it been parked, it would have released the
+  // oldest of them.
+  std::vector<satutil::LargeArray<std::uint8_t>> held;
+  for (std::size_t k = 0; k < satutil::kMaxParkedBlocks; ++k)
+    held.push_back(satutil::large_array<std::uint8_t>(kHuge));
+  std::set<const void*> parked;
+  for (const auto& h : held) parked.insert(h.get());
+  held.clear();
+  {
+    const auto small = satutil::large_array<std::uint8_t>(kHuge - 1);
+    EXPECT_EQ(small.get_deleter().align, 64u);
+  }
+  for (std::size_t k = 0; k < satutil::kMaxParkedBlocks; ++k) {
+    held.push_back(satutil::large_array<std::uint8_t>(kHuge));
+    EXPECT_EQ(parked.count(held.back().get()), 1u) << "block " << k;
+  }
+}
+
+TEST(LargeArray, AFullListReleasesTheOldestBlock) {
+  constexpr std::size_t kCap = satutil::kMaxParkedBlocks;
+  std::vector<satutil::LargeArray<std::uint8_t>> held;
+  std::vector<const void*> at;
+  for (std::size_t k = 0; k <= kCap; ++k) {
+    held.push_back(satutil::large_array<std::uint8_t>(kHuge));
+    at.push_back(held.back().get());
+  }
+  for (auto& h : held) h.reset();  // at[0] is parked first
+  held.clear();
+  // Parking the last one released at[0]; the others come back newest
+  // first.
+  for (std::size_t k = kCap; k >= 1; --k) {
+    held.push_back(satutil::large_array<std::uint8_t>(kHuge));
+    EXPECT_EQ(held.back().get(), at[k]) << "request " << kCap - k;
+  }
+}
+
+TEST(LargeArray, ParkedBlocksArePoisonedUnderAsan) {
+#if defined(SATUTIL_ASAN)
+  auto a = satutil::large_array<std::uint8_t>(kHuge);
+  a[0] = 1;
+  const char* at = reinterpret_cast<const char*>(a.get());
+  EXPECT_EQ(__asan_region_is_poisoned(a.get(), kHuge), nullptr);
+  a.reset();
+  EXPECT_TRUE(__asan_address_is_poisoned(at));
+  EXPECT_TRUE(__asan_address_is_poisoned(at + kHuge - 1));
+  const auto b = satutil::large_array<std::uint8_t>(kHuge);
+  ASSERT_EQ(reinterpret_cast<const char*>(b.get()), at);
+  EXPECT_EQ(__asan_region_is_poisoned(b.get(), kHuge), nullptr);
+#else
+  GTEST_SKIP() << "built without AddressSanitizer";
+#endif
+}
+
+// Pool threads take, fill, check and park same-size blocks at once; the
+// thread sanitizer checks the hand-offs through the parked list.
+TEST(LargeArray, PoolThreadsRecycleBlocksConcurrently) {
+  constexpr std::size_t kWords = kHuge / sizeof(std::uint32_t);
+  constexpr std::size_t kStride = 64 / sizeof(std::uint32_t);  // one a line
+  sathost::ThreadPool pool(4);
+  std::atomic<std::size_t> bad{0};
+  pool.parallel_for(64, [&](std::size_t k) {
+    auto a = satutil::large_array<std::uint32_t>(kWords);
+    const auto tag = static_cast<std::uint32_t>(k << 24);
+    for (std::size_t i = 0; i < kWords; i += kStride)
+      a[i] = tag | static_cast<std::uint32_t>(i / kStride);
+    for (std::size_t i = 0; i < kWords; i += kStride)
+      if (a[i] != (tag | static_cast<std::uint32_t>(i / kStride)))
+        bad.fetch_add(1, std::memory_order_relaxed);
+  });
+  EXPECT_EQ(bad.load(), 0u);
 }
 
 TEST(LargeArray, AlignmentFollowsSizeAndZeroIsEmpty) {

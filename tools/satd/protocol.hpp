@@ -26,6 +26,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -251,9 +252,12 @@ struct MatrixPayload {
   out.storage = static_cast<WireStorage>(raw_storage);
   if (out.storage == WireStorage::kKahan && out.dtype != Dtype::kF32)
     return false;
-  const std::uint64_t nbytes = std::uint64_t{out.rows} * out.cols *
-                               dtype_size(out.dtype);
-  if (payload.size() - kComputeMeta != nbytes) return false;
+  // rows·cols fits u64, but the byte count can wrap: 2^31 × 2^31 f32
+  // elements would otherwise claim a 0-byte body.
+  const std::uint64_t elems = std::uint64_t{out.rows} * out.cols;
+  const std::size_t esize = dtype_size(out.dtype);
+  if (elems > std::numeric_limits<std::uint64_t>::max() / esize) return false;
+  if (payload.size() - kComputeMeta != elems * esize) return false;
   out.data = payload.data() + kComputeMeta;
   return true;
 }
