@@ -6,7 +6,7 @@
 //   {
 //     "schema": "satlib-bench-v2",
 //     "git_rev": "<short sha or 'unknown'>",
-//     "simd_backend": "avx2" | "sse2" | "scalar",
+//     "simd_backend": "avx2" | "scalar",
 //     "machine": { "nproc", "cpu_model", "simd_backend" },
 //     "smoke": true | false,
 //     "results": [ { "name", "impl", "dtype", "n", "iterations",

@@ -35,33 +35,20 @@ class PoolRef {
   std::unique_ptr<sathost::ThreadPool> owned_;
 };
 
-/// Residual tile width for this call (Options::cpu_tile_w doubles as the
-/// residual W; 0 picks the documented default).
-inline std::size_t residual_tile_w(const Options& opts) {
-  return opts.cpu_tile_w != 0 ? opts.cpu_tile_w : kDefaultResidualTileW;
-}
-
-/// The one CPU dispatch behind compute_sat, compute_sat_batch,
-/// compute_sat_batch_into and compute_sat_tiled; a single image is a batch
-/// of one. Image k's table goes to dense[k], or stays compressed in
-/// tiled[k] when the caller (compute_sat_tiled) passes no dense outputs.
-/// This is the only place that picks the code producing an output:
-///   kDense          per cpu_engine: sat_sequential or sat_simd per image,
-///                   or one sat_skss_lb_batch pass;
-///   kTiledResidual  one sat_tiled_batch pass, decoded into dense[k] for
-///                   the dense-result entry points;
-///   kKahanF32       sat_kahan per image (floating-point T only).
+/// The one CPU dispatch behind compute_sat, compute_sat_batch and
+/// compute_sat_batch_into; a single image is a batch of one. This is the
+/// only place that picks the code producing a dense table:
+///   kDense     one sat_skss_lb_batch pass;
+///   kKahanF32  sat_kahan per image (floating-point T only).
 /// Returns the Stats::algorithm label, "cpu-<producer>" plus "-batch" for
 /// the batch entry points.
 template <class T>
 std::string run_cpu_batch(const std::vector<satutil::Span2d<const T>>& inputs,
-                          const std::vector<satutil::Span2d<T>>& dense,
-                          const std::vector<TiledSat<T>*>& tiled,
+                          const std::vector<satutil::Span2d<T>>& outputs,
                           const Options& opts, bool batch_entry) {
   SAT_CHECK_MSG(!inputs.empty(), "empty batch");
-  SAT_CHECK_MSG(
-      inputs.size() == (tiled.empty() ? dense.size() : tiled.size()),
-      "inputs/outputs batch size mismatch");
+  SAT_CHECK_MSG(inputs.size() == outputs.size(),
+                "inputs/outputs batch size mismatch");
   const std::size_t rows = inputs[0].rows();
   const std::size_t cols = inputs[0].cols();
   for (std::size_t k = 0; k < inputs.size(); ++k) {
@@ -70,17 +57,25 @@ std::string run_cpu_batch(const std::vector<satutil::Span2d<const T>>& inputs,
                       << k << " is " << inputs[k].rows() << "x"
                       << inputs[k].cols() << ", image 0 is " << rows << "x"
                       << cols);
-    SAT_CHECK_MSG(!tiled.empty() || (dense[k].rows() == rows &&
-                                     dense[k].cols() == cols),
+    SAT_CHECK_MSG(outputs[k].rows() == rows && outputs[k].cols() == cols,
                   "output " << k << " shape mismatch");
   }
 
   std::string label;
-  switch (tiled.empty() ? opts.storage : Storage::kTiledResidual) {
+  switch (opts.storage) {
+    case Storage::kDense: {
+      PoolRef pool(opts);
+      sathost::SkssLbOptions lb;
+      lb.metrics = opts.metrics;
+      lb.trace = opts.trace;
+      sathost::sat_skss_lb_batch<T>(pool.get(), inputs, outputs, lb);
+      label = "cpu-skss-lb";
+      break;
+    }
     case Storage::kKahanF32:
       if constexpr (std::is_floating_point_v<T>) {
         for (std::size_t k = 0; k < inputs.size(); ++k)
-          sathost::sat_kahan<T>(inputs[k], dense[k], /*tile=*/4096,
+          sathost::sat_kahan<T>(inputs[k], outputs[k], /*tile=*/4096,
                                 opts.metrics);
         label = "cpu-simd-kahan";
       } else {
@@ -89,55 +84,8 @@ std::string run_cpu_batch(const std::vector<satutil::Span2d<const T>>& inputs,
                       "type");
       }
       break;
-    case Storage::kTiledResidual: {
-      // Dense-result callers get scratch stores decoded into their buffers
-      // (the engine's output traffic is still the narrow residual planes).
-      std::vector<TiledSat<T>> scratch;
-      std::vector<TiledSat<T>*> scratch_ptrs;
-      if (tiled.empty()) {
-        scratch.reserve(inputs.size());
-        for (std::size_t k = 0; k < inputs.size(); ++k) {
-          scratch.emplace_back(rows, cols, residual_tile_w(opts));
-          scratch_ptrs.push_back(&scratch.back());
-        }
-      }
-      const std::vector<TiledSat<T>*>& outs =
-          tiled.empty() ? scratch_ptrs : tiled;
-      PoolRef pool(opts);
-      sathost::sat_tiled_batch<T>(pool.get(), inputs, outs, opts.metrics,
-                                  opts.trace);
-      for (std::size_t k = 0; k < scratch.size(); ++k)
-        scratch[k].decode_into(dense[k]);
-      label = "cpu-tiled";
-      break;
-    }
-    case Storage::kDense:
-      switch (opts.cpu_engine) {
-        case CpuEngine::kSequential:
-          for (std::size_t k = 0; k < inputs.size(); ++k)
-            sathost::sat_sequential<T>(inputs[k], dense[k]);
-          label = "cpu-sequential";
-          break;
-        case CpuEngine::kSimd:
-          for (std::size_t k = 0; k < inputs.size(); ++k)
-            sathost::sat_simd<T>(inputs[k], dense[k], /*tile=*/4096,
-                                 opts.metrics);
-          label = "cpu-simd";
-          break;
-        case CpuEngine::kSkssLb: {
-          PoolRef pool(opts);
-          sathost::SkssLbOptions lb;
-          lb.tile_w = opts.cpu_tile_w;
-          lb.metrics = opts.metrics;
-          lb.trace = opts.trace;
-          sathost::sat_skss_lb_batch<T>(pool.get(), inputs, dense, lb);
-          label = "cpu-skss-lb";
-          break;
-        }
-      }
-      break;
   }
-  SAT_CHECK_MSG(!label.empty(), "unknown cpu engine");
+  SAT_CHECK_MSG(!label.empty(), "unknown storage mode");
   return batch_entry ? label + "-batch" : label;
 }
 
@@ -147,7 +95,7 @@ template <class T>
 Stats compute_sat_batch_into(
     const std::vector<satutil::Span2d<const T>>& inputs,
     const std::vector<satutil::Span2d<T>>& outputs, const Options& opts) {
-  return {run_cpu_batch<T>(inputs, outputs, {}, opts, /*batch_entry=*/true)};
+  return {run_cpu_batch<T>(inputs, outputs, opts, /*batch_entry=*/true)};
 }
 
 template <class T>
@@ -156,7 +104,7 @@ Result<T> compute_sat(const Matrix<T>& input, const Options& opts) {
   Result<T> result;
   result.table = Matrix<T>(input.rows(), input.cols());
   result.stats.algorithm = run_cpu_batch<T>(
-      {input.view()}, {result.table.view()}, {}, opts, /*batch_entry=*/false);
+      {input.view()}, {result.table.view()}, opts, /*batch_entry=*/false);
   return result;
 }
 
@@ -173,7 +121,7 @@ BatchResult<T> compute_sat_batch(const std::vector<Matrix<T>>& inputs,
     dsts.push_back(result.tables.back().view());
   }
   result.stats.algorithm =
-      run_cpu_batch<T>(srcs, dsts, {}, opts, /*batch_entry=*/true);
+      run_cpu_batch<T>(srcs, dsts, opts, /*batch_entry=*/true);
   return result;
 }
 
@@ -181,10 +129,11 @@ template <class T>
 TiledResult<T> compute_sat_tiled(const Matrix<T>& input, const Options& opts) {
   SAT_CHECK_MSG(!input.empty(), "input matrix is empty");
   TiledResult<T> result{
-      TiledSat<T>(input.rows(), input.cols(), residual_tile_w(opts)), {}};
-  result.stats.algorithm = run_cpu_batch<T>({input.view()}, {},
-                                            {&result.table}, opts,
-                                            /*batch_entry=*/false);
+      TiledSat<T>(input.rows(), input.cols(), kDefaultResidualTileW),
+      {"cpu-tiled"}};
+  PoolRef pool(opts);
+  sathost::sat_tiled<T>(pool.get(), input.view(), result.table, opts.metrics,
+                        opts.trace);
   return result;
 }
 

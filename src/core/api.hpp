@@ -34,30 +34,33 @@ enum class Backend {
   kCpu,  ///< run the multithreaded host implementation
 };
 
-/// Host engine for Storage::kDense (see docs/host_engine.md). The other
-/// storage modes have one producer each and ignore it.
+/// Kept for source compatibility: SKSS-LB is the only dense engine, and
+/// nothing reads Options::cpu_engine.
 enum class CpuEngine {
-  kSequential,  ///< single-threaded scalar reference
-  kSimd,        ///< single-threaded fused SIMD sweep
-  kSkssLb,      ///< the paper's 1R1W-SKSS-LB on worker threads
+  kSkssLb,  ///< the paper's 1R1W-SKSS-LB on worker threads
+};
+
+/// What the dense-result entry points write (docs/host_engine.md,
+/// "Storage modes"). Each mode has one producer.
+enum class Storage {
+  /// The plain table, from sathost::sat_skss_lb_batch on cpu_threads
+  /// workers (or Options::pool): one engine pass for a whole batch.
+  kDense,
+  /// An f32 table with Kahan-compensated column accumulation, from
+  /// sathost::sat_kahan per image on the calling thread. Requires a
+  /// floating-point element type; every cell stays within 1 ulp of the
+  /// exact sum, past the 2^24 boundary where plain f32 drifts.
+  kKahanF32,
 };
 
 /// Options for the host entry points. Defaults run the paper's
 /// 1R1W-SKSS-LB on hardware-concurrency workers into a dense table.
 struct Options {
   Backend backend = Backend::kCpu;
+  CpuEngine cpu_engine = CpuEngine::kSkssLb;
 
   /// Worker threads (0 = hardware concurrency).
   std::size_t cpu_threads = 0;
-
-  /// Which host engine computes a kDense table (docs/host_engine.md
-  /// compares them; kSkssLb is the paper's algorithm on the host).
-  CpuEngine cpu_engine = CpuEngine::kSkssLb;
-
-  /// SKSS-LB tile width. Any positive value — the host has no warp-multiple
-  /// constraint. 0 = automatic worker-count-scaled width (see
-  /// sathost::SkssLbOptions::tile_w).
-  std::size_t cpu_tile_w = 0;
 
   /// An external, caller-owned thread pool. Null (the default) makes each
   /// call construct its own `cpu_threads`-wide pool — fine for one-shot
@@ -69,17 +72,7 @@ struct Options {
   /// The pool must outlive the call and must not be running another batch.
   sathost::ThreadPool* pool = nullptr;
 
-  /// Output storage mode (docs/host_engine.md, "Storage modes"). The
-  /// non-dense modes each have one producer, whatever cpu_engine says.
-  /// kTiledResidual runs sathost::sat_tiled_batch, the two-pass producer
-  /// with no look-back (bit-exact for integral T while every tile-local SAT
-  /// fits T — a range extension past dense T); through the dense-result
-  /// entry points it is decoded back into the caller's buffer, so use
-  /// compute_sat_tiled to keep the compressed form. cpu_tile_w doubles as
-  /// the residual tile width (0 ⇒ kDefaultResidualTileW). kKahanF32
-  /// requires a floating-point element type and runs the compensated SIMD
-  /// sweep (sathost::sat_kahan) per image: every cell stays within 1 ulp of
-  /// the exact sum, past the 2^24 boundary where plain f32 drifts.
+  /// What the dense-result entry points write (see Storage).
   Storage storage = Storage::kDense;
 
   /// Optional observability (see docs/observability.md; neither owned).
@@ -115,12 +108,10 @@ struct BatchResult {
   Stats stats;
 };
 
-/// Computes the SATs of a batch of equally-shaped matrices. The SKSS-LB
-/// engine runs the whole batch through ONE engine pass (one claim counter),
-/// so tiles of image k+1 pipeline behind the draining tail of image k
-/// (sathost::sat_skss_lb_batch). kTiledResidual also takes the whole batch
-/// in one call, to sathost::sat_tiled_batch, the two-pass producer with no
-/// look-back; the other producers run image-at-a-time.
+/// Computes the SATs of a batch of equally-shaped matrices. kDense runs
+/// the whole batch through ONE engine pass (one claim counter), so tiles
+/// of image k+1 pipeline behind the draining tail of image k
+/// (sathost::sat_skss_lb_batch); kKahanF32 runs image-at-a-time.
 template <class T>
 BatchResult<T> compute_sat_batch(const std::vector<Matrix<T>>& inputs,
                                  const Options& opts = {});
@@ -135,11 +126,12 @@ Stats compute_sat_batch_into(
     const std::vector<satutil::Span2d<const T>>& inputs,
     const std::vector<satutil::Span2d<T>>& outputs, const Options& opts = {});
 
-/// Default tile width for Storage::kTiledResidual when Options::cpu_tile_w
-/// is 0. Wider residual tiles amortize the per-tile wide base vectors but
-/// widen each tile's value range (pushing more tiles from u16 to u32);
-/// 256 balances the two for byte-valued inputs while keeping the encoder's
-/// staging buffer cache-resident.
+/// Tile width of the store compute_sat_tiled returns. Wider residual
+/// tiles amortize the per-tile wide base vectors but widen each tile's
+/// value range (pushing more tiles from u16 to u32); 256 balances the two
+/// for byte-valued inputs while keeping the encoder's staging buffer
+/// cache-resident. Other widths: sathost::sat_tiled into a
+/// TiledSat(rows, cols, w).
 inline constexpr std::size_t kDefaultResidualTileW = 256;
 
 /// Result of a tiled-residual computation: the compressed table itself (use
@@ -151,11 +143,12 @@ struct TiledResult {
   Stats stats;
 };
 
-/// Computes the SAT of `input` in tiled base+residual form without ever
-/// materializing the dense table (Storage::kTiledResidual kept compressed).
-/// Runs sathost::sat_tiled_batch, the two-pass producer with no look-back,
-/// on cpu_threads workers (or Options::pool); Options::storage and
-/// cpu_engine are ignored (this entry point IS the residual mode).
+/// Computes the SAT of `input` in tiled base+residual form at
+/// kDefaultResidualTileW, without ever materializing the dense table: the
+/// only entry point that returns a TiledSat. Runs sathost::sat_tiled, the
+/// two-pass producer with no look-back, on cpu_threads workers (or
+/// Options::pool); Options::storage is ignored. Bit-exact for integral T
+/// while every tile-local SAT fits T, a range extension past dense T.
 template <class T>
 TiledResult<T> compute_sat_tiled(const Matrix<T>& input,
                                  const Options& opts = {});

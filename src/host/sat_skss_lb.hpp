@@ -54,8 +54,8 @@
 //     fast path's sweep, seeded with the walks' GRS(I,J−1), GCS(I−1,J) and
 //     GS(I−1,J−1) (4). dst is still written exactly once; the input is
 //     read twice, the second time from L2 when auto_tile_w's L2 cap set W.
-// The tiled base+residual store (Storage::kTiledResidual) is not produced
-// here: a tile's residual needs no look-back, see host/sat_tiled.hpp.
+// The tiled base+residual store (sat::TiledSat) is not produced here: a
+// tile's residual needs no look-back, see host/sat_tiled.hpp.
 #pragma once
 
 #include <algorithm>

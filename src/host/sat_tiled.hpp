@@ -1,7 +1,8 @@
-// Host producer of the tiled base+residual store (Storage::kTiledResidual,
-// sat/storage.hpp). A tile's residual is its local SAT, which depends on
-// its own input alone; only its O(W) bases (RowBand, ColBand) depend on
-// other tiles. So the store takes two passes and no look-back protocol:
+// Host producer of the tiled base+residual store (sat::TiledSat,
+// sat/storage.hpp; sat::compute_sat_tiled runs it at the default width).
+// A tile's residual is its local SAT, which depends on its own input
+// alone; only its O(W) bases (RowBand, ColBand) depend on other tiles. So
+// the store takes two passes and no look-back protocol:
 //   1. Every tile on its own, on the pool: its local SAT into a thread-kept
 //      staging tile (the fused 4-row sweep, each row folded into the tile's
 //      value range while it is L1-hot), its residual and bias encoded from

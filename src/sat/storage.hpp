@@ -1,5 +1,5 @@
-// SAT storage modes (ROADMAP item 3, after Ehsan et al.'s compact integral
-// image representations).
+// The tiled base+residual SAT store, sat::TiledSat (ROADMAP item 3, after
+// Ehsan et al.'s compact integral image representations).
 //
 // Every host engine in the ledger is bound by DRAM traffic, and the SAT
 // *output* write is the dominant term — so a representation that halves the
@@ -57,13 +57,6 @@
 #include "util/span2d.hpp"
 
 namespace sat {
-
-/// Output representation of a computed SAT (Options::storage).
-enum class Storage : std::uint8_t {
-  kDense = 0,          ///< one full-width table entry per cell (default)
-  kTiledResidual = 1,  ///< per-tile wide bases + narrow local residuals
-  kKahanF32 = 2,       ///< f32 table, Kahan-compensated column accumulation
-};
 
 namespace detail {
 

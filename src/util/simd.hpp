@@ -1,15 +1,14 @@
 // satsimd — a portable fixed-width SIMD layer for the host SAT engine.
 //
 // One vector type, `satsimd::Vec<T>`, with exactly the operations a summed
-// area table needs: load/store (aligned and unaligned), lane-wise add and
-// subtract (the Kahan-compensated kernels need `(t − s) − y`), broadcast,
-// an in-register inclusive scan (log-step shift-add), and extraction of the
+// area table needs: load/store at any address, lane-wise add and subtract
+// (the Kahan-compensated kernels need `(t − s) − y`), broadcast, an
+// in-register inclusive scan (log-step shift-add), and extraction of the
 // last lane (the scan's carry-out).
 //
 // Dispatch is at compile time, selected by the SATLIB_SIMD build option and
 // the target ISA:
 //   - AVX2  → 256-bit vectors (float/int32/uint32 ×8, double ×4)
-//   - SSE2  → 128-bit vectors (float/int32/uint32 ×4, double ×2)
 //   - else  → a generic fixed-width-4 array implementation that any
 //             arithmetic element type (e.g. int64) also falls back to.
 // The generic path is always well-defined, so algorithm code is written once
@@ -22,9 +21,6 @@
 #if defined(SATLIB_SIMD) && defined(__AVX2__)
 #define SATSIMD_BACKEND_AVX2 1
 #include <immintrin.h>
-#elif defined(SATLIB_SIMD) && defined(__SSE2__)
-#define SATSIMD_BACKEND_SSE2 1
-#include <emmintrin.h>
 #endif
 
 namespace satsimd {
@@ -32,9 +28,6 @@ namespace satsimd {
 #if defined(SATSIMD_BACKEND_AVX2)
 inline constexpr bool kVectorized = true;
 [[nodiscard]] inline const char* backend_name() { return "avx2"; }
-#elif defined(SATSIMD_BACKEND_SSE2)
-inline constexpr bool kVectorized = true;
-[[nodiscard]] inline const char* backend_name() { return "sse2"; }
 #else
 inline constexpr bool kVectorized = false;
 [[nodiscard]] inline const char* backend_name() { return "scalar"; }
@@ -54,7 +47,7 @@ inline void prefetch(const void* p) {
 /// Orders non-temporal stores (Vec::store_stream) before any later store.
 /// Call once after a streaming kernel finishes; no-op on the scalar backend.
 inline void store_fence() {
-#if defined(SATSIMD_BACKEND_AVX2) || defined(SATSIMD_BACKEND_SSE2)
+#if defined(SATSIMD_BACKEND_AVX2)
   _mm_sfence();
 #endif
 }
@@ -78,11 +71,9 @@ struct Vec {
     for (std::size_t k = 0; k < width; ++k) v.lane[k] = p[k];
     return v;
   }
-  [[nodiscard]] static Vec load_aligned(const T* p) { return load(p); }
   void store(T* p) const {
     for (std::size_t k = 0; k < width; ++k) p[k] = lane[k];
   }
-  void store_aligned(T* p) const { store(p); }
   /// Non-temporal store on native backends (requires width*sizeof(T)
   /// alignment there); a plain store here.
   void store_stream(T* p) const { store(p); }
@@ -131,11 +122,7 @@ struct Vec<float> {
   [[nodiscard]] static Vec zero() { return {_mm256_setzero_ps()}; }
   [[nodiscard]] static Vec broadcast(float x) { return {_mm256_set1_ps(x)}; }
   [[nodiscard]] static Vec load(const float* p) { return {_mm256_loadu_ps(p)}; }
-  [[nodiscard]] static Vec load_aligned(const float* p) {
-    return {_mm256_load_ps(p)};
-  }
   void store(float* p) const { _mm256_storeu_ps(p, r); }
-  void store_aligned(float* p) const { _mm256_store_ps(p, r); }
   void store_stream(float* p) const { _mm256_stream_ps(p, r); }
 
   [[nodiscard]] friend Vec operator+(Vec a, Vec b) {
@@ -184,11 +171,7 @@ struct Vec<double> {
   [[nodiscard]] static Vec load(const double* p) {
     return {_mm256_loadu_pd(p)};
   }
-  [[nodiscard]] static Vec load_aligned(const double* p) {
-    return {_mm256_load_pd(p)};
-  }
   void store(double* p) const { _mm256_storeu_pd(p, r); }
-  void store_aligned(double* p) const { _mm256_store_pd(p, r); }
   void store_stream(double* p) const { _mm256_stream_pd(p, r); }
 
   [[nodiscard]] friend Vec operator+(Vec a, Vec b) {
@@ -260,14 +243,8 @@ struct VecI32x8 {
     [[nodiscard]] static Vec load(const T* p) {                               \
       return {_mm256_loadu_si256(reinterpret_cast<const __m256i*>(p))};      \
     }                                                                         \
-    [[nodiscard]] static Vec load_aligned(const T* p) {                       \
-      return {_mm256_load_si256(reinterpret_cast<const __m256i*>(p))};       \
-    }                                                                         \
     void store(T* p) const {                                                  \
       _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), r);                  \
-    }                                                                         \
-    void store_aligned(T* p) const {                                          \
-      _mm256_store_si256(reinterpret_cast<__m256i*>(p), r);                   \
     }                                                                         \
     void store_stream(T* p) const {                                           \
       _mm256_stream_si256(reinterpret_cast<__m256i*>(p), r);                  \
@@ -290,133 +267,6 @@ struct VecI32x8 {
 SATSIMD_DEFINE_I32X8(std::int32_t)
 SATSIMD_DEFINE_I32X8(std::uint32_t)
 #undef SATSIMD_DEFINE_I32X8
-
-#elif defined(SATSIMD_BACKEND_SSE2)
-
-template <>
-struct Vec<float> {
-  static constexpr std::size_t width = 4;
-  __m128 r;
-
-  [[nodiscard]] static Vec zero() { return {_mm_setzero_ps()}; }
-  [[nodiscard]] static Vec broadcast(float x) { return {_mm_set1_ps(x)}; }
-  [[nodiscard]] static Vec load(const float* p) { return {_mm_loadu_ps(p)}; }
-  [[nodiscard]] static Vec load_aligned(const float* p) {
-    return {_mm_load_ps(p)};
-  }
-  void store(float* p) const { _mm_storeu_ps(p, r); }
-  void store_aligned(float* p) const { _mm_store_ps(p, r); }
-  void store_stream(float* p) const { _mm_stream_ps(p, r); }
-
-  [[nodiscard]] friend Vec operator+(Vec a, Vec b) {
-    return {_mm_add_ps(a.r, b.r)};
-  }
-  Vec& operator+=(Vec b) { return *this = *this + b; }
-  [[nodiscard]] friend Vec operator-(Vec a, Vec b) {
-    return {_mm_sub_ps(a.r, b.r)};
-  }
-
-  [[nodiscard]] Vec inclusive_scan() const {
-    __m128 x = r;
-    x = _mm_add_ps(x, _mm_castsi128_ps(_mm_slli_si128(_mm_castps_si128(x), 4)));
-    x = _mm_add_ps(x, _mm_castsi128_ps(_mm_slli_si128(_mm_castps_si128(x), 8)));
-    return {x};
-  }
-  [[nodiscard]] Vec sum_broadcast() const {
-    __m128 t = _mm_add_ps(r, _mm_shuffle_ps(r, r, _MM_SHUFFLE(1, 0, 3, 2)));
-    t = _mm_add_ps(t, _mm_shuffle_ps(t, t, _MM_SHUFFLE(2, 3, 0, 1)));
-    return {t};
-  }
-  [[nodiscard]] float last() const {
-    return _mm_cvtss_f32(_mm_shuffle_ps(r, r, _MM_SHUFFLE(3, 3, 3, 3)));
-  }
-};
-
-template <>
-struct Vec<double> {
-  static constexpr std::size_t width = 2;
-  __m128d r;
-
-  [[nodiscard]] static Vec zero() { return {_mm_setzero_pd()}; }
-  [[nodiscard]] static Vec broadcast(double x) { return {_mm_set1_pd(x)}; }
-  [[nodiscard]] static Vec load(const double* p) { return {_mm_loadu_pd(p)}; }
-  [[nodiscard]] static Vec load_aligned(const double* p) {
-    return {_mm_load_pd(p)};
-  }
-  void store(double* p) const { _mm_storeu_pd(p, r); }
-  void store_aligned(double* p) const { _mm_store_pd(p, r); }
-  void store_stream(double* p) const { _mm_stream_pd(p, r); }
-
-  [[nodiscard]] friend Vec operator+(Vec a, Vec b) {
-    return {_mm_add_pd(a.r, b.r)};
-  }
-  Vec& operator+=(Vec b) { return *this = *this + b; }
-  [[nodiscard]] friend Vec operator-(Vec a, Vec b) {
-    return {_mm_sub_pd(a.r, b.r)};
-  }
-
-  [[nodiscard]] Vec inclusive_scan() const {
-    const __m128d shifted =
-        _mm_castsi128_pd(_mm_slli_si128(_mm_castpd_si128(r), 8));
-    return {_mm_add_pd(r, shifted)};
-  }
-  [[nodiscard]] Vec sum_broadcast() const {
-    return {_mm_add_pd(r, _mm_shuffle_pd(r, r, 0x1))};
-  }
-  [[nodiscard]] double last() const {
-    return _mm_cvtsd_f64(_mm_unpackhi_pd(r, r));
-  }
-};
-
-#define SATSIMD_DEFINE_I32X4(T)                                               \
-  template <>                                                                 \
-  struct Vec<T> {                                                             \
-    static constexpr std::size_t width = 4;                                   \
-    __m128i r;                                                                \
-    [[nodiscard]] static Vec zero() { return {_mm_setzero_si128()}; }         \
-    [[nodiscard]] static Vec broadcast(T x) {                                 \
-      return {_mm_set1_epi32(static_cast<std::int32_t>(x))};                  \
-    }                                                                         \
-    [[nodiscard]] static Vec load(const T* p) {                               \
-      return {_mm_loadu_si128(reinterpret_cast<const __m128i*>(p))};          \
-    }                                                                         \
-    [[nodiscard]] static Vec load_aligned(const T* p) {                       \
-      return {_mm_load_si128(reinterpret_cast<const __m128i*>(p))};           \
-    }                                                                         \
-    void store(T* p) const {                                                  \
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(p), r);                     \
-    }                                                                         \
-    void store_aligned(T* p) const {                                          \
-      _mm_store_si128(reinterpret_cast<__m128i*>(p), r);                      \
-    }                                                                         \
-    void store_stream(T* p) const {                                           \
-      _mm_stream_si128(reinterpret_cast<__m128i*>(p), r);                     \
-    }                                                                         \
-    [[nodiscard]] friend Vec operator+(Vec a, Vec b) {                        \
-      return {_mm_add_epi32(a.r, b.r)};                                       \
-    }                                                                         \
-    Vec& operator+=(Vec b) { return *this = *this + b; }                      \
-    [[nodiscard]] Vec inclusive_scan() const {                                \
-      __m128i x = r;                                                          \
-      x = _mm_add_epi32(x, _mm_slli_si128(x, 4));                             \
-      x = _mm_add_epi32(x, _mm_slli_si128(x, 8));                             \
-      return {x};                                                             \
-    }                                                                         \
-    [[nodiscard]] Vec sum_broadcast() const {                                 \
-      __m128i t =                                                             \
-          _mm_add_epi32(r, _mm_shuffle_epi32(r, _MM_SHUFFLE(1, 0, 3, 2)));    \
-      t = _mm_add_epi32(t, _mm_shuffle_epi32(t, _MM_SHUFFLE(2, 3, 0, 1)));    \
-      return {t};                                                             \
-    }                                                                         \
-    [[nodiscard]] T last() const {                                            \
-      return static_cast<T>(                                                  \
-          _mm_cvtsi128_si32(_mm_shuffle_epi32(r, _MM_SHUFFLE(3, 3, 3, 3))));  \
-    }                                                                         \
-  };
-
-SATSIMD_DEFINE_I32X4(std::int32_t)
-SATSIMD_DEFINE_I32X4(std::uint32_t)
-#undef SATSIMD_DEFINE_I32X4
 
 #endif  // backend
 

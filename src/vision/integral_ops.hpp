@@ -101,11 +101,11 @@ MomentTables MomentTables::build(const sat::Matrix<T>& image) {
   return t;
 }
 
-/// MomentTables in tiled base+residual storage (sat::Storage::
-/// kTiledResidual): the same mean/variance/stddev interface, but both
-/// tables stay compressed and every query decompresses its four corners on
-/// the fly — the matcher and threshold paths never pay for a dense f64
-/// table pair. Drop-in for the `Moments` parameter of match_template_with.
+/// MomentTables in tiled base+residual storage (sat::TiledSat): the same
+/// mean/variance/stddev interface, but both tables stay compressed and
+/// every query decompresses its four corners on the fly — the matcher and
+/// threshold paths never pay for a dense f64 table pair. Drop-in for the
+/// `Moments` parameter of match_template_with.
 struct TiledMomentTables {
   sat::TiledSat<double> sum;
   sat::TiledSat<double> sum_sq;

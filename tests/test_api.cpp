@@ -8,6 +8,7 @@
 
 #include "core/api.hpp"
 #include "host/sat_cpu.hpp"
+#include "host/sat_skss_lb.hpp"
 #include "repro/repro.hpp"
 #include "util/rng.hpp"
 
@@ -42,17 +43,19 @@ std::vector<Matrix<T>> run_dense_entry(int entry,
   return outs;
 }
 
-// Every CPU engine × storage mode × CPU entry point, over degenerate and
-// ragged shapes. i32 dense and residual tables are bit-exact against
-// sat_sequential; u8-valued f32 Kahan tables are within 1 ulp of an exact
-// i64 oracle; Kahan on i32 is rejected; compute_sat_tiled (which ignores
-// Options::storage: it is the residual mode) keeps cpu_tile_w as its tile
-// width whatever the engine.
+// Every dense-result entry point × storage mode × worker count, over
+// degenerate, ragged and multi-tile shapes. i32 dense tables are bit-exact
+// against sat_sequential; u8-valued f32 Kahan tables are within 1 ulp of
+// an exact i64 oracle; Kahan on i32 is rejected; compute_sat_tiled keeps
+// the compressed form at kDefaultResidualTileW whatever the options say.
 TEST(Api, CpuDispatchMatrix) {
-  using sat::CpuEngine;
   using sat::Storage;
+  // 300×300 is the multi-tile shape: W = 128 (3×3 tiles) on 3 workers and
+  // W = 150 (2×2) for the 2-image batch, whose images get 2 workers each.
+  static_assert(sathost::auto_tile_w<std::int32_t>(300, 300, 3) == 128);
+  static_assert(sathost::auto_tile_w<std::int32_t>(300, 300, 2) == 150);
   const std::pair<std::size_t, std::size_t> shapes[] = {
-      {1, 100}, {100, 1}, {33, 97}, {130, 70}};
+      {1, 100}, {100, 1}, {33, 97}, {130, 70}, {300, 300}};
   for (const auto& [rows, cols] : shapes) {
     std::vector<Matrix<std::int32_t>> ins, refs;
     std::vector<Matrix<float>> ins_f;
@@ -71,53 +74,45 @@ TEST(Api, CpuDispatchMatrix) {
       exact.emplace_back(rows, cols);
       sathost::sat_sequential<std::int64_t>(wide.view(), exact[k].view());
     }
-    for (CpuEngine engine :
-         {CpuEngine::kSequential, CpuEngine::kSimd, CpuEngine::kSkssLb}) {
-      for (Storage storage : {Storage::kDense, Storage::kTiledResidual,
-                              Storage::kKahanF32}) {
-        for (std::size_t tile_w : {std::size_t{0}, std::size_t{32}}) {
-          Options o;
-          o.cpu_engine = engine;
-          o.cpu_threads = 3;
-          o.cpu_tile_w = tile_w;
-          o.storage = storage;
-          const std::string where =
-              std::to_string(rows) + "x" + std::to_string(cols) +
-              " engine=" + std::to_string(static_cast<int>(engine)) +
-              " storage=" + std::to_string(static_cast<int>(storage)) +
-              " w=" + std::to_string(tile_w);
-          for (int entry = 0; entry < 3; ++entry) {
-            if (storage == Storage::kKahanF32) {
-              EXPECT_THROW((void)run_dense_entry(entry, ins, o),
-                           satutil::CheckError)
-                  << where << " entry=" << entry;
-              const auto got = run_dense_entry(entry, ins_f, o);
-              for (std::size_t k = 0; k < ins.size(); ++k)
-                for (std::size_t i = 0; i < rows; ++i)
-                  for (std::size_t j = 0; j < cols; ++j) {
-                    const float e = static_cast<float>(exact[k](i, j));
-                    const double ulp = std::nextafterf(e, HUGE_VALF) - e;
-                    ASSERT_LE(std::abs(static_cast<double>(got[k](i, j)) -
-                                       static_cast<double>(exact[k](i, j))),
-                              ulp)
-                        << where << " entry=" << entry << " @" << i << ","
-                        << j;
-                  }
-            } else {
-              const auto got = run_dense_entry(entry, ins, o);
-              for (std::size_t k = 0; k < ins.size(); ++k)
-                ASSERT_EQ(got[k], refs[k]) << where << " entry=" << entry;
-            }
+    for (Storage storage : {Storage::kDense, Storage::kKahanF32}) {
+      for (std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+        Options o;
+        o.cpu_threads = threads;
+        o.storage = storage;
+        const std::string where =
+            std::to_string(rows) + "x" + std::to_string(cols) +
+            " storage=" + std::to_string(static_cast<int>(storage)) +
+            " threads=" + std::to_string(threads);
+        for (int entry = 0; entry < 3; ++entry) {
+          if (storage == Storage::kKahanF32) {
+            EXPECT_THROW((void)run_dense_entry(entry, ins, o),
+                         satutil::CheckError)
+                << where << " entry=" << entry;
+            const auto got = run_dense_entry(entry, ins_f, o);
+            for (std::size_t k = 0; k < ins.size(); ++k)
+              for (std::size_t i = 0; i < rows; ++i)
+                for (std::size_t j = 0; j < cols; ++j) {
+                  const float e = static_cast<float>(exact[k](i, j));
+                  const double ulp = std::nextafterf(e, HUGE_VALF) - e;
+                  ASSERT_LE(std::abs(static_cast<double>(got[k](i, j)) -
+                                     static_cast<double>(exact[k](i, j))),
+                            ulp)
+                      << where << " entry=" << entry << " @" << i << ","
+                      << j;
+                }
+          } else {
+            const auto got = run_dense_entry(entry, ins, o);
+            for (std::size_t k = 0; k < ins.size(); ++k)
+              ASSERT_EQ(got[k], refs[k]) << where << " entry=" << entry;
           }
-          const auto tiled = sat::compute_sat_tiled(ins[0], o);
-          EXPECT_EQ(tiled.table.tile_w(),
-                    tile_w != 0 ? tile_w : sat::kDefaultResidualTileW)
-              << where;
-          for (std::size_t i = 0; i < rows; ++i)
-            for (std::size_t j = 0; j < cols; ++j)
-              ASSERT_EQ(tiled.table.value(i, j), refs[0](i, j))
-                  << where << " tiled @" << i << "," << j;
         }
+        const auto tiled = sat::compute_sat_tiled(ins[0], o);
+        EXPECT_EQ(tiled.table.tile_w(), sat::kDefaultResidualTileW) << where;
+        EXPECT_EQ(tiled.stats.algorithm, "cpu-tiled") << where;
+        for (std::size_t i = 0; i < rows; ++i)
+          for (std::size_t j = 0; j < cols; ++j)
+            ASSERT_EQ(tiled.table.value(i, j), refs[0](i, j))
+                << where << " tiled @" << i << "," << j;
       }
     }
   }

@@ -5,6 +5,7 @@
 #include "core/api.hpp"
 #include "gpusim/gpusim.hpp"
 #include "host/sat_cpu.hpp"
+#include "host/sat_skss_lb.hpp"
 #include "repro/repro.hpp"
 #include "sat/algo_batch.hpp"
 
@@ -58,7 +59,6 @@ TEST(Batch, CpuSkssLbBatchMatchesOracle) {
   for (std::uint64_t k = 0; k < 5; ++k)
     inputs.push_back(Matrix<std::int32_t>::random(70, 130, 300 + k, 0, 50));
   sat::Options opts;
-  opts.cpu_engine = sat::CpuEngine::kSkssLb;
   opts.cpu_threads = 3;
   const auto result = sat::compute_sat_batch(inputs, opts);
   ASSERT_EQ(result.tables.size(), inputs.size());
@@ -70,33 +70,24 @@ TEST(Batch, CpuSkssLbBatchMatchesOracle) {
 
 TEST(Batch, CpuBatchBitEqualsPerImageCompute) {
   // Integer elements: the batched engine must agree with single-image
-  // compute_sat exactly, whatever the claim scheduler interleaves.
+  // compute_sat exactly, whatever the claim scheduler interleaves. The
+  // images are wider than the one-worker tile width (2048 for i64), so the
+  // batch (one worker's share per image) and the single-image calls (two
+  // workers, W = 320) both split every image into several tiles.
+  constexpr std::size_t kRows = 40, kCols = 2500;
+  static_assert(sathost::auto_tile_w<std::int64_t>(kRows, kCols, 1) < kCols);
+  static_assert(sathost::auto_tile_w<std::int64_t>(kRows, kCols, 2) < kCols);
   std::vector<Matrix<std::int64_t>> inputs;
   for (std::uint64_t k = 0; k < 4; ++k)
-    inputs.push_back(Matrix<std::int64_t>::random(64, 64, 400 + k, 0, 99));
+    inputs.push_back(
+        Matrix<std::int64_t>::random(kRows, kCols, 400 + k, 0, 99));
   sat::Options opts;
-  opts.cpu_engine = sat::CpuEngine::kSkssLb;
   opts.cpu_threads = 2;
-  opts.cpu_tile_w = 32;
   const auto batch = sat::compute_sat_batch(inputs, opts);
   for (std::size_t k = 0; k < inputs.size(); ++k) {
     const auto single = sat::compute_sat(inputs[k], opts);
     EXPECT_EQ(batch.tables[k], single.table) << "image " << k;
   }
-}
-
-TEST(Batch, CpuNonPipelinedEnginesStillBatch) {
-  // Engines without a batch entry loop per image; results must validate
-  // and the algorithm label must record the looping.
-  std::vector<Matrix<std::int32_t>> inputs;
-  for (std::uint64_t k = 0; k < 3; ++k)
-    inputs.push_back(Matrix<std::int32_t>::random(60, 60, 500 + k, 0, 20));
-  sat::Options opts;
-  opts.cpu_engine = sat::CpuEngine::kSimd;
-  const auto result = sat::compute_sat_batch(inputs, opts);
-  for (std::size_t k = 0; k < inputs.size(); ++k)
-    EXPECT_FALSE(sat::validate_sat(inputs[k], result.tables[k]).has_value());
-  EXPECT_EQ(result.stats.algorithm, "cpu-simd-batch");
 }
 
 TEST(Batch, RejectsMixedShapesAndEmptyBatch) {
@@ -107,8 +98,8 @@ TEST(Batch, RejectsMixedShapesAndEmptyBatch) {
   EXPECT_THROW(
       (void)satrepro::compute_sat_batch(std::vector<Matrix<float>>{}),
       satutil::CheckError);
-  // The CPU batch entry points apply the same rule for every engine and
-  // name the first image that breaks it.
+  // The CPU batch entry points apply the same rule for every storage mode
+  // and name the first image that breaks it.
   std::vector<Matrix<std::int32_t>> outs;
   std::vector<satutil::Span2d<const std::int32_t>> srcs;
   std::vector<satutil::Span2d<std::int32_t>> dsts;
@@ -117,18 +108,17 @@ TEST(Batch, RejectsMixedShapesAndEmptyBatch) {
     srcs.push_back(mixed[k].view());
     dsts.push_back(outs[k].view());
   }
-  for (sat::CpuEngine engine : {sat::CpuEngine::kSequential,
-                                sat::CpuEngine::kSimd,
-                                sat::CpuEngine::kSkssLb}) {
+  for (sat::Storage storage :
+       {sat::Storage::kDense, sat::Storage::kKahanF32}) {
     sat::Options opts;
-    opts.cpu_engine = engine;
+    opts.storage = storage;
     opts.cpu_threads = 2;
     EXPECT_THROW((void)sat::compute_sat_batch(mixed, opts),
                  satutil::CheckError);
     try {
       (void)sat::compute_sat_batch_into<std::int32_t>(srcs, dsts, opts);
-      ADD_FAILURE() << "mixed shapes accepted by engine "
-                    << static_cast<int>(engine);
+      ADD_FAILURE() << "mixed shapes accepted by storage "
+                    << static_cast<int>(storage);
     } catch (const satutil::CheckError& e) {
       EXPECT_NE(std::string(e.what()).find("image 2 is 64x96"),
                 std::string::npos)

@@ -136,9 +136,8 @@ TEST(Precision, KahanF32StaysCorrectlyRoundedPastTheBoundary) {
   // ~2^29). The compensated scans cannot beat the f32 representation — an
   // odd integer above 2^24 still has no f32 encoding — but they must stay
   // within 1 ulp of the exact value (the compensation term carries what
-  // the naive accumulation drops), whatever engine, worker count or tile
-  // width the options name, through both the single-image and the batch
-  // entry point.
+  // the naive accumulation drops), whatever worker count the options name,
+  // through both the single-image and the batch entry point.
   const std::size_t n = 2048;
   const U8Workload wl(n);
   Matrix<float> plain(n, n);
@@ -165,30 +164,23 @@ TEST(Precision, KahanF32StaysCorrectlyRoundedPastTheBoundary) {
   sathost::sat_sequential_kahan<float>(wl.input.view(), reference.view());
   EXPECT_LE(worst_ulps(reference), 1.0);
 
-  for (sat::CpuEngine engine : {sat::CpuEngine::kSequential,
-                                sat::CpuEngine::kSimd,
-                                sat::CpuEngine::kSkssLb}) {
-    for (std::size_t tile_w : {std::size_t{0}, std::size_t{64}}) {
-      sat::Options o;
-      o.cpu_engine = engine;
-      o.cpu_threads = 4;
-      o.cpu_tile_w = tile_w;
-      o.storage = sat::Storage::kKahanF32;
-      const Matrix<float> single = sat::compute_sat(wl.input, o).table;
-      Matrix<float> batched(n, n);
-      (void)sat::compute_sat_batch_into<float>({wl.input.view()},
-                                               {batched.view()}, o);
-      const Matrix<float>* tables[] = {&single, &batched};
-      for (const Matrix<float>* kah : tables) {
-        const double kahan_worst = worst_ulps(*kah);
-        EXPECT_LE(kahan_worst, 1.0)
-            << "engine " << static_cast<int>(engine) << " w=" << tile_w
-            << (kah == &batched ? " batch" : " single")
-            << ": compensated scan drifted past 1 ulp";
-        // The naive table is meaningfully worse by the same yardstick.
-        EXPECT_GT(plain_worst, 4 * kahan_worst);
-        EXPECT_TRUE(*kah == reference);
-      }
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    sat::Options o;
+    o.cpu_threads = threads;
+    o.storage = sat::Storage::kKahanF32;
+    const Matrix<float> single = sat::compute_sat(wl.input, o).table;
+    Matrix<float> batched(n, n);
+    (void)sat::compute_sat_batch_into<float>({wl.input.view()},
+                                             {batched.view()}, o);
+    const Matrix<float>* tables[] = {&single, &batched};
+    for (const Matrix<float>* kah : tables) {
+      const double kahan_worst = worst_ulps(*kah);
+      EXPECT_LE(kahan_worst, 1.0)
+          << threads << " threads" << (kah == &batched ? " batch" : " single")
+          << ": compensated scan drifted past 1 ulp";
+      // The naive table is meaningfully worse by the same yardstick.
+      EXPECT_GT(plain_worst, 4 * kahan_worst);
+      EXPECT_TRUE(*kah == reference);
     }
   }
 }

@@ -162,7 +162,6 @@ TEST(StorageModeQueries, KahanTableAnswersTheSameBattery) {
   const std::size_t rows = 128, cols = 96, w = 32;
   const auto in = sat::Matrix<float>::random(rows, cols, 29, 0.0f, 255.0f);
   sat::Options o;
-  o.cpu_engine = sat::CpuEngine::kSimd;
   o.storage = sat::Storage::kKahanF32;
   const auto kah = sat::compute_sat(in, o);
   for (const Rect& r : query_battery(rows, cols, w)) {

@@ -97,10 +97,10 @@ TEST_P(SkssLbMatrix, ResidualStorageMatchesSequentialI64) {
 }
 
 TEST_P(SkssLbMatrix, KahanStorageMatchesSequentialF32) {
-  // Storage::kKahanF32 has one producer (sat_kahan), which the SKSS-LB tile
-  // width and worker count in the options must not reach: on u8-valued
-  // input every cell stays within 1 ulp of the exact i64 sum at every
-  // sweep point.
+  // Storage::kKahanF32 has one producer (sat_kahan), which the worker
+  // count in the options must not reach: on u8-valued input every cell
+  // stays within 1 ulp of the exact i64 sum at every sweep point. (The
+  // sweep's tile width only varies the seed here.)
   const auto [n, w, workers] = GetParam();
   const auto wide =
       Matrix<std::int64_t>::random(n, n, /*seed=*/n * 149 + w, 0, 255);
@@ -111,8 +111,6 @@ TEST_P(SkssLbMatrix, KahanStorageMatchesSequentialF32) {
   Matrix<std::int64_t> exact(n, n);
   sathost::sat_sequential<std::int64_t>(wide.view(), exact.view());
   sat::Options o;
-  o.cpu_engine = sat::CpuEngine::kSkssLb;
-  o.cpu_tile_w = w;
   o.cpu_threads = workers;
   o.storage = sat::Storage::kKahanF32;
   const Matrix<float> got = sat::compute_sat(input, o).table;

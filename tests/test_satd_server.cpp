@@ -317,8 +317,21 @@ TEST(SatdServer, ConcurrentClientsMatchSequentialOracle) {
 }
 
 TEST(SatdServer, PipelinedSameShapeBurstCoalesces) {
+  // Dispatch stays frozen until the whole burst is queued, so the batch
+  // does not depend on how fast the loop admits jobs. The loop handles a
+  // connection's frames in order and no RESULT can be sent while dispatch
+  // is frozen, so the PONG to a PING sent after the burst proves that all
+  // 8 jobs are queued.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool released = false;
+
   satd::ServerOptions opts;
   opts.batch_max = 8;
+  opts.dispatch_hook = [&] {
+    std::unique_lock lock(mu);
+    cv.wait(lock, [&] { return released; });
+  };
   satd::Server server(opts);
   ASSERT_TRUE(server.start());
 
@@ -333,9 +346,19 @@ TEST(SatdServer, PipelinedSameShapeBurstCoalesces) {
         satd::encode_matrix_payload(40, 40, Dtype::kI32,
                                     inputs.back().view().data())));
   }
+  ASSERT_TRUE(client.send(Type::kPing, 99));
+  Frame reply;
+  ASSERT_TRUE(client.recv(reply));
+  ASSERT_EQ(reply.type, Type::kPong);
+
+  {
+    std::lock_guard lock(mu);
+    released = true;
+  }
+  cv.notify_all();
+
   std::vector<bool> seen(kBurst, false);
   for (int i = 0; i < kBurst; ++i) {
-    Frame reply;
     ASSERT_TRUE(client.recv(reply));
     ASSERT_EQ(reply.type, Type::kResult);
     ASSERT_GE(reply.trace_id, 1u);
@@ -352,12 +375,11 @@ TEST(SatdServer, PipelinedSameShapeBurstCoalesces) {
     EXPECT_EQ(std::memcmp(m.data, expected.view().data(), 40 * 40 * 4), 0);
   }
 
-  // The burst was pipelined onto one connection, so at least one batch
-  // must have held more than one job.
+  // The whole queued burst shares one shape, so it is one engine pass.
   const obs::Snapshot snap = server.registry().snapshot();
   const std::uint64_t* batches = snap.counter("satd.batches_total");
   ASSERT_NE(batches, nullptr);
-  EXPECT_LT(*batches, std::uint64_t(kBurst));
+  EXPECT_EQ(*batches, 1u);
   server.stop();
 }
 

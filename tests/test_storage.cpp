@@ -1,10 +1,10 @@
-// Storage::kTiledResidual end to end: the TiledSat container and its host
-// producer (sat_tiled, on one and on several workers) against the sequential i64 oracle, the per-tile
-// width selection and its wide overflow fallback, the range-extension
-// contract (tables whose dense form overflows T still reconstruct exactly),
-// the decompress-on-the-fly query kernel, the vision consumers on a
-// compressed table, and the API plumbing (compute_sat_tiled,
-// Options::storage, host.storage.* metrics).
+// The tiled base+residual store end to end: the TiledSat container and its
+// host producer (sat_tiled, on one and on several workers) against the
+// sequential i64 oracle, the per-tile width selection and its wide overflow
+// fallback, the range-extension contract (tables whose dense form overflows
+// T still reconstruct exactly), the decompress-on-the-fly query kernel, the
+// vision consumers on a compressed table, and the API plumbing
+// (compute_sat_tiled, Storage::kKahanF32, host.storage.* metrics).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -425,39 +425,15 @@ TEST(TiledResidual, RecycledMomentTablesStayExact) {
 // --- API plumbing -------------------------------------------------------
 
 TEST(StorageApi, ComputeSatTiledKeepsCompressedForm) {
-  const std::size_t n = 200;
+  const std::size_t n = 600;  // 3×3 tiles at the default width, ragged
   const auto in = Matrix<std::int32_t>::random(n, n, 51, 0, 200);
   const auto oracle = oracle_i64(in);
-  for (sat::CpuEngine engine :
-       {sat::CpuEngine::kSimd, sat::CpuEngine::kSkssLb}) {
-    sat::Options o;
-    o.cpu_engine = engine;
-    o.cpu_threads = 2;
-    o.cpu_tile_w = 64;
-    const auto r = sat::compute_sat_tiled(in, o);
-    EXPECT_EQ(r.table.tile_w(), 64u);
-    for (const Rect& rect : random_rects(n, n, 100, 3))
-      ASSERT_EQ(sat::region_sum(r.table, rect), sat::region_sum(oracle, rect));
-  }
-}
-
-TEST(StorageApi, DenseEntryPointDecodesResidualStorage) {
-  const std::size_t n = 160;
-  const auto in = Matrix<std::int32_t>::random(n, n, 8, 0, 50);
-  Matrix<std::int32_t> expect(n, n);
-  sathost::sat_sequential<std::int32_t>(in.view(), expect.view());
-  for (sat::CpuEngine engine :
-       {sat::CpuEngine::kSimd, sat::CpuEngine::kSkssLb}) {
-    sat::Options o;
-    o.cpu_engine = engine;
-    o.cpu_threads = 2;
-    o.storage = sat::Storage::kTiledResidual;
-    o.cpu_tile_w = 64;
-    const auto r = sat::compute_sat(in, o);
-    for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t j = 0; j < n; ++j)
-        ASSERT_EQ(r.table(i, j), expect(i, j));
-  }
+  sat::Options o;
+  o.cpu_threads = 2;
+  const auto r = sat::compute_sat_tiled(in, o);
+  EXPECT_EQ(r.table.tile_w(), sat::kDefaultResidualTileW);
+  for (const Rect& rect : random_rects(n, n, 100, 3))
+    ASSERT_EQ(sat::region_sum(r.table, rect), sat::region_sum(oracle, rect));
 }
 
 TEST(StorageApi, KahanStorageRequiresFloatAndStaysClose) {
@@ -473,7 +449,6 @@ TEST(StorageApi, KahanStorageRequiresFloatAndStaysClose) {
     return out;
   }();
   sat::Options o;
-  o.cpu_engine = sat::CpuEngine::kSkssLb;
   o.cpu_threads = 2;
   o.storage = sat::Storage::kKahanF32;
   const auto r = sat::compute_sat(in, o);

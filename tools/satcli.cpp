@@ -72,19 +72,14 @@ struct ObsRequest {
   }
 };
 
-sat::CpuEngine parse_host_impl(const std::string& name) {
-  if (name == "sequential") return sat::CpuEngine::kSequential;
-  if (name == "simd") return sat::CpuEngine::kSimd;
-  SAT_CHECK_MSG(name == "skss_lb", "unknown host engine '" << name << "'");
-  return sat::CpuEngine::kSkssLb;
-}
-
 sat::Storage parse_storage(const std::string& name) {
   if (name == "dense") return sat::Storage::kDense;
-  if (name == "residual") return sat::Storage::kTiledResidual;
   if (name == "kahan") return sat::Storage::kKahanF32;
-  SAT_CHECK_MSG(false, "unknown storage mode '" << name << "'");
-  return sat::Storage::kDense;
+  std::fprintf(stderr,
+               "unknown --storage '%s' (want dense or kahan; the tiled store "
+               "is sat::compute_sat_tiled's)\n",
+               name.c_str());
+  std::exit(1);
 }
 
 satalgo::Algorithm parse_algorithm(const std::string& name) {
@@ -119,13 +114,19 @@ std::optional<std::string> report(const std::string& algorithm,
   return err;
 }
 
-/// --host-impl: the host core's engines (sat::compute_sat[_batch]).
+/// --host-impl skss_lb: the host core (sat::compute_sat[_batch]).
 std::optional<std::string> compute_on_host(
     const satutil::ArgParser& args, const std::vector<sat::Matrix<float>>& in,
     ObsRequest& obs, const std::string& shape) {
+  const std::string impl = args.get("host-impl");
+  if (impl != "skss_lb") {
+    std::fprintf(stderr,
+                 "unknown --host-impl '%s': the host core's one dense engine "
+                 "is skss_lb (add --threads 1 for a single-threaded run)\n",
+                 impl.c_str());
+    std::exit(1);
+  }
   sat::Options opts;
-  opts.cpu_engine = parse_host_impl(args.get("host-impl"));
-  opts.cpu_tile_w = static_cast<std::size_t>(args.get_int("tile-width"));
   opts.cpu_threads = static_cast<std::size_t>(args.get_int("threads"));
   opts.storage = parse_storage(args.get("storage"));
   if (obs.metrics_on()) opts.metrics = &obs.registry;
@@ -191,9 +192,8 @@ int mode_compute(const satutil::ArgParser& args) {
   std::string shape = std::to_string(rows) + "x" + std::to_string(cols);
   if (batch > 1) shape = std::to_string(batch) + " x " + shape;
   ObsRequest obs(args);
-  // --host-impl switches the run to the host engines; --tile-width sets the
-  // host tile size (independent of the device --w, which must stay a
-  // multiple of 32).
+  // --host-impl switches the run to the host core, which picks its own
+  // tile width (the device --w must stay a multiple of 32).
   const auto err = args.get("host-impl").empty()
                        ? compute_on_simulator(args, inputs, obs, shape)
                        : compute_on_host(args, inputs, obs, shape);
@@ -315,15 +315,13 @@ int main(int argc, char** argv) {
            "duplicate|2r2w|2r2w_opt|2r1w|1r1w|hybrid|skss|skss_lb")
       .add("w", "64", "tile width")
       .add("host-impl", "",
-           "run on the host engines with this dense engine: "
-           "sequential|simd|skss_lb (--storage residual|kahan ignore it)")
-      .add("tile-width", "0",
-           "host tile width W, 0 = engine default (with --host-impl)")
+           "skss_lb: run on the host core (SKSS-LB, or --storage kahan's "
+           "sat_kahan) instead of the simulator")
       .add("threads", "0",
            "host worker threads, 0 = hardware concurrency (with --host-impl)")
       .add("storage", "dense",
-           "output storage mode (with --host-impl): dense | residual "
-           "(tiled base+residual) | kahan (compensated f32 scans)")
+           "output storage mode (with --host-impl): dense | kahan "
+           "(compensated f32 scans)")
       .add("seed", "1", "workload seed")
       .add("out", "trace.csv", "output file (trace mode)")
       .add_flag("check-protocol",

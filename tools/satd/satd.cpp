@@ -30,7 +30,6 @@ int main(int argc, char** argv) {
            "admission queue bound; a full queue replies OVERLOADED")
       .add("batch-max", "8", "max same-shape jobs coalesced per engine pass")
       .add("threads", "0", "engine pool workers (0 = hardware concurrency)")
-      .add("tile-width", "0", "engine tile width W (0 = automatic)")
       .add("max-frame-mb", "64", "reject frames larger than this many MiB")
       .add("trace-out", "",
            "write a Chrome trace_events JSON here on shutdown");
@@ -47,7 +46,6 @@ int main(int argc, char** argv) {
   opts.queue_cap = static_cast<std::size_t>(args.get_int("queue-cap"));
   opts.batch_max = static_cast<std::size_t>(args.get_int("batch-max"));
   opts.cpu_threads = static_cast<std::size_t>(args.get_int("threads"));
-  opts.tile_w = static_cast<std::size_t>(args.get_int("tile-width"));
   opts.max_frame_bytes =
       static_cast<std::size_t>(args.get_int("max-frame-mb")) << 20;
   opts.metrics = &metrics;

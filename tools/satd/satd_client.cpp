@@ -3,10 +3,11 @@
 //   satd-client --port-file /tmp/satd.port --connections 4 --requests 32
 //               --shapes 256x256,128x512 --dtype i32 --validate
 //
-// Each connection runs on its own thread and *pipelines*: every request is
-// written before replies are read, so a burst of same-shape frames lands in
-// the server's queue together and exercises the batching path. Replies are
-// matched to requests by trace_id (batching reorders across shapes).
+// Each connection runs on its own thread and *pipelines*: it builds every
+// request first, then writes them back to back before reading any reply,
+// so a burst of same-shape frames lands in the server's queue together and
+// exercises the batching path. Replies are matched to requests by trace_id
+// (batching reorders across shapes).
 // OVERLOADED replies are retried with backoff up to --retries times; any
 // other error, a missing reply, or (--validate) a result that mismatches
 // the sat_sequential oracle makes the exit status nonzero.
@@ -73,11 +74,13 @@ std::uint16_t resolve_port(const satutil::ArgParser& args) {
   return static_cast<std::uint16_t>(port);
 }
 
-/// One request's spec + oracle, kept until its reply arrives.
+/// One request's spec, input and encoded payload (resent on OVERLOADED),
+/// kept until its reply arrives.
 template <class T>
 struct Pending {
   Shape shape;
   sat::Matrix<T> input;
+  std::vector<std::uint8_t> payload;
 };
 
 template <class T>
@@ -123,19 +126,23 @@ int run_connection(std::uint16_t port, satd::Dtype dtype,
     return 1;
   }
 
+  // Trace ids grow with i, so the map iterates in request order.
   std::map<std::uint64_t, Pending<T>> pending;
   for (int i = 0; i < requests; ++i) {
     const Shape shape = shapes[static_cast<std::size_t>(i) % shapes.size()];
     const std::uint64_t trace_id = (conn_index << 32) | std::uint64_t(i + 1);
     auto input = sat::Matrix<T>::random(shape.rows, shape.cols,
                                         seed + trace_id);
-    const auto payload = satd::encode_matrix_payload(
-        shape.rows, shape.cols, dtype, input.view().data());
-    if (!client.send(satd::Type::kCompute, trace_id, payload)) {
+    auto payload = satd::encode_matrix_payload(shape.rows, shape.cols, dtype,
+                                               input.view().data());
+    pending.emplace(trace_id, Pending<T>{shape, std::move(input),
+                                         std::move(payload)});
+  }
+  for (const auto& [trace_id, p] : pending) {
+    if (!client.send(satd::Type::kCompute, trace_id, p.payload)) {
       std::fprintf(stderr, "satd-client: send failed\n");
       return 1;
     }
-    pending.emplace(trace_id, Pending<T>{shape, std::move(input)});
   }
 
   int failures = 0;
@@ -163,10 +170,8 @@ int run_connection(std::uint16_t port, satd::Dtype dtype,
                         ->second;
         if (left-- > 0) {
           std::this_thread::sleep_for(std::chrono::milliseconds(20));
-          const Pending<T>& p = it->second;
-          const auto payload = satd::encode_matrix_payload(
-              p.shape.rows, p.shape.cols, dtype, p.input.view().data());
-          if (!client.send(satd::Type::kCompute, reply.trace_id, payload))
+          if (!client.send(satd::Type::kCompute, reply.trace_id,
+                           it->second.payload))
             return 1;
           continue;
         }

@@ -429,8 +429,6 @@ void Server::run_batch_typed(std::vector<Job>& batch) {
   std::string failure;
   try {
     sat::Options opt;
-    opt.cpu_engine = sat::CpuEngine::kSkssLb;
-    opt.cpu_tile_w = opts_.tile_w;
     switch (batch.front().storage) {
       case WireStorage::kDense: break;
       case WireStorage::kKahan:

@@ -44,8 +44,6 @@ struct ServerOptions {
   std::size_t batch_max = 8;
   /// Workers of the shared engine pool (0 = hardware concurrency).
   std::size_t cpu_threads = 0;
-  /// Tile width forwarded to the engine (0 = automatic).
-  std::size_t tile_w = 0;
   /// Reject frames whose frame_len exceeds this many bytes.
   std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// Metrics sink. Null ⇒ the server owns a private registry (the HTTP
