@@ -30,16 +30,17 @@
 // tile-local values (see docs/host_engine.md, "Storage modes").
 //
 // Layout: residual planes are indexed tile-contiguously,
-// `tile*W² + p*W + q`, so every tile slot and every row inside it is
-// 64-byte aligned whenever W is a multiple of 32 — the non-temporal store
-// path in the encoder requires never mixing streamed and regular stores in
-// one cache line. Planes are allocated uninitialized and oversized (one
-// slot per tile for each width) through satutil::large_array, so they are
-// 2 MiB-aligned and huge-page-advised: untouched regions are never faulted
-// in, and the three widths coexist at the cost of address space, not RSS.
-// A touched region becomes resident 2 MiB at a time, though, so a store
-// whose tiles mix residual widths pays up to one 2 MiB page per width for
-// each run of neighbouring tiles that uses it.
+// `tile*W² + p*W + q`, so every tile slot and every row of a 4-byte plane
+// is 64-byte aligned whenever W is a multiple of 16 — the non-temporal
+// store path in the encoder requires never mixing streamed and regular
+// stores in one cache line. Planes are allocated uninitialized and
+// oversized (one slot per tile for each width) through
+// satutil::large_array, so they are 2 MiB-aligned and huge-page-advised:
+// untouched regions are never faulted in, and the three widths coexist at
+// the cost of address space, not RSS. A touched region becomes resident
+// 2 MiB at a time, though, so a store whose tiles mix residual widths pays
+// up to one 2 MiB page per width for each run of neighbouring tiles that
+// uses it.
 #pragma once
 
 #include <algorithm>
@@ -183,9 +184,9 @@ class TiledSat {
   /// by-then cold tile; it must cover every tilebuf value — a too-narrow
   /// range corrupts the residuals. Chooses the narrowest residual width
   /// that holds the range and — when `allow_stream` and the geometry
-  /// permits — writes u16 residuals with non-temporal stores (a store fence
-  /// is issued before returning, so cross-thread readers only need the
-  /// usual release/acquire handoff).
+  /// permits — writes 4-byte integral T's residuals with non-temporal
+  /// stores and a store fence before returning, so cross-thread readers
+  /// only need the usual release/acquire handoff.
   void encode_tile(std::size_t tile, const T* tilebuf, std::size_t ld,
                    std::size_t tp, std::size_t tq, T mn, T mx,
                    bool allow_stream = false) {
@@ -224,36 +225,32 @@ class TiledSat {
       return;
     }
     std::fill(rb, rb + tp, static_cast<Wide>(mn));  // the bias
-    if (e == TileEnc::kF32) {
-      if constexpr (std::is_floating_point_v<T>)
-        pack(f32_.get(), [mn](T v) { return static_cast<float>(v - mn); });
-      return;
-    }
-    if (e == TileEnc::kU32) {
-      pack(u32_.get(), [&](T v) { return static_cast<std::uint32_t>(rel(v)); });
-      return;
-    }
 #if defined(SATSIMD_BACKEND_AVX2)
-    // Pack 16 bias-relative i32 residuals to u16 and stream them. Gated on
-    // W and tq being multiples of 32 so every streamed row covers whole
-    // 64-byte lines and no scalar tail shares a line with them.
+    // The one SIMD pack for 4-byte integral T: v − bias in 32-bit lanes, 16
+    // residuals per step, streamed. `epi32` wraps exactly like the scalar
+    // u64 difference, so it is bit-identical to `pack`; u16 residuals
+    // (< 2^16) narrow through packus. Gated on W and tq being multiples of
+    // 16 so every streamed row covers whole 32-byte vectors, every u32 row
+    // whole 64-byte lines, and no scalar tail shares a line with them.
     if constexpr (sizeof(T) == 4 && std::is_integral_v<T>) {
-      if (allow_stream && w_ % 32 == 0 && tq % 32 == 0) {
-        const __m256i vbias = _mm256_set1_epi32(static_cast<int>(
-            static_cast<std::uint32_t>(static_cast<std::int64_t>(mn))));
+      if (allow_stream && w_ % 16 == 0 && tq % 16 == 0) {
+        const __m256i b = _mm256_set1_epi32(static_cast<int>(mn));
         for (std::size_t p = 0; p < tp; ++p) {
-          const T* src = tilebuf + p * ld;
-          std::uint16_t* out = u16_.get() + slot + p * w_;
-          for (std::size_t q = 0; q < tq; q += 16) {
-            __m256i lo =
-                _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + q));
-            __m256i hi = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(src + q + 8));
-            lo = _mm256_sub_epi32(lo, vbias);
-            hi = _mm256_sub_epi32(hi, vbias);
-            __m256i packed = _mm256_packus_epi32(lo, hi);
-            packed = _mm256_permute4x64_epi64(packed, _MM_SHUFFLE(3, 1, 2, 0));
-            _mm256_stream_si256(reinterpret_cast<__m256i*>(out + q), packed);
+          const auto* in = reinterpret_cast<const __m256i*>(tilebuf + p * ld);
+          const std::size_t out = slot + p * w_;
+          for (std::size_t q = 0; q < tq; q += 16, in += 2) {
+            const __m256i lo = _mm256_sub_epi32(_mm256_loadu_si256(in), b);
+            const __m256i hi = _mm256_sub_epi32(_mm256_loadu_si256(in + 1), b);
+            if (e == TileEnc::kU16) {
+              _mm256_stream_si256(
+                  reinterpret_cast<__m256i*>(u16_.get() + out + q),
+                  _mm256_permute4x64_epi64(_mm256_packus_epi32(lo, hi),
+                                           _MM_SHUFFLE(3, 1, 2, 0)));
+            } else {
+              auto* dst = reinterpret_cast<__m256i*>(u32_.get() + out + q);
+              _mm256_stream_si256(dst, lo);
+              _mm256_stream_si256(dst + 1, hi);
+            }
           }
         }
         satsimd::store_fence();
@@ -263,7 +260,14 @@ class TiledSat {
 #else
     (void)allow_stream;
 #endif
-    pack(u16_.get(), [&](T v) { return static_cast<std::uint16_t>(rel(v)); });
+    if (e == TileEnc::kF32) {
+      if constexpr (std::is_floating_point_v<T>)
+        pack(f32_.get(), [mn](T v) { return static_cast<float>(v - mn); });
+    } else if (e == TileEnc::kU32) {
+      pack(u32_.get(), [&](T v) { return static_cast<std::uint32_t>(rel(v)); });
+    } else {
+      pack(u16_.get(), [&](T v) { return static_cast<std::uint16_t>(rel(v)); });
+    }
   }
 
   /// Adds a tile's bases after encode_tile: row_band[p] = RowBand(p),

@@ -7,8 +7,12 @@
 // independent of window size.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <exception>
+#include <mutex>
+#include <thread>
 
 #include "core/matrix.hpp"
 #include "core/region.hpp"
@@ -29,18 +33,41 @@ namespace satvision {
 }
 
 /// Box filter: the mean over a (2·radius+1)² window, O(1) per pixel.
-/// `table` is any SAT with rows()/cols() and an ADL-visible region_mean —
-/// dense sat::Matrix or compressed sat::TiledSat (the means then come from
-/// decompress-on-the-fly corner lookups; no dense decode needed).
+/// `table` is any SAT with rows()/cols() and a sat::region_mean overload
+/// declared before this header — dense sat::Matrix or compressed
+/// sat::TiledSat (the means then come from decompress-on-the-fly corner
+/// lookups; no dense decode needed). The output's 16-row bands run on a
+/// per-call pool of one worker per 4K output pixels, up to the hardware
+/// concurrency (one worker, and no thread, below 8K pixels), so
+/// region_mean(table, rect) must be safe to call concurrently; the first
+/// exception a band throws is rethrown on the caller.
 template <class Table>
 [[nodiscard]] sat::Matrix<float> box_filter(const Table& table,
                                             std::size_t radius) {
+  // Probed on 4 cores (docs/api.md): a second worker pays from about 8K
+  // pixels, four from 16K; 4- to 16-row bands ran alike. Unmeasured beyond
+  // 4 cores, where each extra worker still costs a thread start.
+  constexpr std::size_t kBandRows = 16, kPixelsPerWorker = 4096;
   const std::size_t rows = table.rows(), cols = table.cols();
   sat::Matrix<float> out(rows, cols);
-  for (std::size_t i = 0; i < rows; ++i)
-    for (std::size_t j = 0; j < cols; ++j)
-      out(i, j) = static_cast<float>(
-          sat::region_mean(table, window_at(i, j, radius, rows, cols)));
+  sathost::ThreadPool pool(std::min<std::size_t>(
+      std::max(1u, std::thread::hardware_concurrency()),
+      std::max<std::size_t>(1, rows * cols / kPixelsPerWorker)));
+  std::mutex mu;
+  std::exception_ptr error;  // the first band's exception, guarded by mu
+  pool.parallel_for((rows + kBandRows - 1) / kBandRows, [&](std::size_t b) {
+    const std::size_t i1 = std::min(rows, (b + 1) * kBandRows);
+    try {
+      for (std::size_t i = b * kBandRows; i < i1; ++i)
+        for (std::size_t j = 0; j < cols; ++j)
+          out(i, j) = static_cast<float>(
+              sat::region_mean(table, window_at(i, j, radius, rows, cols)));
+    } catch (...) {
+      const std::lock_guard<std::mutex> lock(mu);
+      if (!error) error = std::current_exception();
+    }
+  });
+  if (error) std::rethrow_exception(error);
   return out;
 }
 
@@ -190,16 +217,8 @@ template <class T>
   for (std::size_t i = 0; i < image.rows(); ++i)
     for (std::size_t j = 0; j < image.cols(); ++j)
       current(i, j) = static_cast<float>(image(i, j));
-  for (int p = 0; p < passes; ++p) {
-    const MomentTables t = MomentTables::build(current);
-    sat::Matrix<double> table = t.sum;
-    sat::Matrix<float> next(image.rows(), image.cols());
-    for (std::size_t i = 0; i < image.rows(); ++i)
-      for (std::size_t j = 0; j < image.cols(); ++j)
-        next(i, j) = static_cast<float>(sat::region_mean(
-            table, window_at(i, j, radius, image.rows(), image.cols())));
-    current = std::move(next);
-  }
+  for (int p = 0; p < passes; ++p)
+    current = box_filter(MomentTables::build(current).sum, radius);
   return current;
 }
 

@@ -422,6 +422,35 @@ TEST(TiledResidual, RecycledMomentTablesStayExact) {
   }
 }
 
+// A 1500² i32 store (9 MB) is past kStreamMinBytes, so its full 256-wide
+// tiles take the streamed SIMD pack, while the last tile column,
+// 220 wide (not a multiple of 16), takes the scalar pack beside them.
+// Bit-valued tiles on the left stay in u16 (a tile-local SAT of 256² bits
+// stays below 2^16; on all-zero tiles packus would hide a bias off by one
+// as 0), byte-valued tiles on the right go to u32.
+TEST(TiledResidual, StreamedPacksStayExact) {
+  using Enc = TiledSat<std::int32_t>::TileEnc;
+  const std::size_t n = 1500, w = 256;
+  ASSERT_GE(n * n * sizeof(std::int32_t), sathost::kStreamMinBytes);
+  Matrix<std::int32_t> in(n, n);
+  satutil::Rng rng(81);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j)
+      in(i, j) = static_cast<std::int32_t>(rng.next_below(j < 2 * w ? 2 : 256));
+  TiledSat<std::int32_t> t(n, n, w);
+  encode(in, t, 3);
+  for (std::size_t ti = 0; ti < t.tile_rows(); ++ti)
+    for (std::size_t tj = 0; tj < t.tile_cols(); ++tj)
+      ASSERT_EQ(t.enc(t.tile_index(ti, tj)), tj < 2 ? Enc::kU16 : Enc::kU32)
+          << ti << "," << tj;
+  const auto oracle = oracle_i64(in);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j)
+      ASSERT_EQ(t.value(i, j), oracle(i, j)) << i << "," << j;
+  for (const Rect& r : random_rects(n, n, 500, 82))
+    ASSERT_EQ(sat::region_sum(t, r), sat::region_sum(oracle, r));
+}
+
 // --- API plumbing -------------------------------------------------------
 
 TEST(StorageApi, ComputeSatTiledKeepsCompressedForm) {

@@ -3,6 +3,31 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+
+#include "core/region.hpp"
+#include "util/check.hpp"
+
+namespace {
+/// A 600² table whose region_mean throws for every window centred on row
+/// 320 or below (radius 1): 18 of box_filter's 38 output bands, so that a
+/// pool worker, not only the calling thread, meets one whatever the order
+/// the bands are claimed in.
+struct ThrowingTable {
+  [[nodiscard]] std::size_t rows() const { return 600; }
+  [[nodiscard]] std::size_t cols() const { return 600; }
+};
+}  // namespace
+
+// box_filter calls sat::region_mean by its qualified name, so this overload
+// must be declared before the vision headers.
+namespace sat {
+[[nodiscard]] inline double region_mean(const ThrowingTable& /*table*/,
+                                        const Rect& rect) {
+  SAT_CHECK_MSG(rect.r0 < 319, "poisoned window at row " << rect.r0 + 1);
+  return 0.0;
+}
+}  // namespace sat
 
 #include "core/api.hpp"
 #include "host/sat_cpu.hpp"
@@ -54,6 +79,38 @@ TEST(Vision, BoxFilterMatchesDirectConvolution) {
       for (std::size_t c = w.c0; c < w.c1; ++c) sum += img(r, c);
     ASSERT_NEAR(filtered(i, j), sum / double(w.area()), 1e-4);
   }
+}
+
+// 600² output pixels get a worker per core (up to 87 by the 4K rule): the
+// bands must come out bit for bit as a serial per-pixel region_mean loop
+// writes them, from a dense f64 table and from a TiledSat<int32>.
+TEST(Vision, BoxFilterOnSeveralWorkersMatchesSerialLoop) {
+  const std::size_t n = 600, radius = 3;
+  const auto img = Matrix<std::int32_t>::random(n, n, 21, 0, 255);
+  Matrix<double> pixels(n, n);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j) pixels(i, j) = img(i, j);
+  Matrix<double> dense(n, n);
+  sathost::sat_sequential<double>(pixels.view(), dense.view());
+  const auto tiled = sat::compute_sat_tiled(img, sat::Options{}).table;
+  auto check = [&](const auto& table) {
+    const auto filtered = satvision::box_filter(table, radius);
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < n; ++j)
+        ASSERT_EQ(filtered(i, j),
+                  static_cast<float>(sat::region_mean(
+                      table, satvision::window_at(i, j, radius, n, n))))
+            << i << "," << j;
+  };
+  check(dense);
+  check(tiled);
+}
+
+// An exception from region_mean in a band reaches the caller; a pool
+// worker that let it escape would end the program instead.
+TEST(Vision, BoxFilterRethrowsOnTheCaller) {
+  EXPECT_THROW((void)satvision::box_filter(ThrowingTable{}, 1),
+               satutil::CheckError);
 }
 
 TEST(Vision, MomentTablesMeanAndVariance) {

@@ -26,6 +26,7 @@
 #include "obs/trace.hpp"
 #include "repro/repro.hpp"
 #include "util/argparse.hpp"
+#include "util/check.hpp"
 #include "util/format.hpp"
 
 namespace {
@@ -335,11 +336,17 @@ int main(int argc, char** argv) {
   if (!args.parse(argc, argv)) return 1;
 
   const std::string mode = args.get("mode");
-  if (mode == "compute") return mode_compute(args);
-  if (mode == "cell") return mode_cell(args);
-  if (mode == "tune") return mode_tune(args);
-  if (mode == "trace") return mode_trace(args);
-  if (mode == "verify") return mode_verify(args);
+  // A bad flag value fails a SAT_CHECK inside the mode: a usage error.
+  try {
+    if (mode == "compute") return mode_compute(args);
+    if (mode == "cell") return mode_cell(args);
+    if (mode == "tune") return mode_tune(args);
+    if (mode == "trace") return mode_trace(args);
+    if (mode == "verify") return mode_verify(args);
+  } catch (const satutil::CheckError& e) {
+    std::fprintf(stderr, "satcli: %s\n", e.what());
+    return 1;
+  }
   std::fprintf(stderr, "unknown mode '%s'\n%s", mode.c_str(),
                args.usage().c_str());
   return 1;
