@@ -75,8 +75,7 @@ std::string run_cpu_batch(const std::vector<satutil::Span2d<const T>>& inputs,
     case Storage::kKahanF32:
       if constexpr (std::is_floating_point_v<T>) {
         for (std::size_t k = 0; k < inputs.size(); ++k)
-          sathost::sat_kahan<T>(inputs[k], outputs[k], /*tile=*/4096,
-                                opts.metrics);
+          sathost::sat_kahan<T>(inputs[k], outputs[k], opts.metrics);
         label = "cpu-simd-kahan";
       } else {
         SAT_CHECK_MSG(false,

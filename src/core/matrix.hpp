@@ -35,7 +35,6 @@ class Matrix {
 
   [[nodiscard]] T* data() { return data_.data(); }
   [[nodiscard]] const T* data() const { return data_.data(); }
-  [[nodiscard]] const std::vector<T>& storage() const { return data_; }
 
   [[nodiscard]] satutil::Span2d<T> view() {
     return {data_.data(), rows_, cols_};

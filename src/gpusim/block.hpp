@@ -275,16 +275,13 @@ class BlockCtx {
   /// call closes it. Only used for the obs trace span — safe to omit (the
   /// depth histogram and max still record).
   void lookback_begin() {
-#if SATLIB_OBS_ENABLED
     if (obs_ != nullptr) lb_start_us_ = clock_us_;
-#endif
   }
 
   /// Records the length of one look-back walk (for the ablation reports and
   /// the sim.lookback_depth histogram).
   void note_lookback_depth(std::size_t depth) {
     if (depth > max_lookback_depth_) max_lookback_depth_ = depth;
-#if SATLIB_OBS_ENABLED
     if (obs_ != nullptr) {
       if (obs_->lookback_depth != nullptr) obs_->lookback_depth->record(depth);
       if (obs_->trace != nullptr && lb_start_us_ >= 0.0) {
@@ -295,7 +292,6 @@ class BlockCtx {
       }
       lb_start_us_ = -1.0;
     }
-#endif
   }
 
   // --- Scheduler interface ----------------------------------------------------
@@ -323,10 +319,8 @@ class BlockCtx {
   void clear_wait() { wait_arr_ = nullptr; }
   void count_spin() {
     counters_->flag_polls += 1;
-#if SATLIB_OBS_ENABLED
     if (obs_ != nullptr && obs_->flag_spins != nullptr)
       obs_->flag_spins->add();
-#endif
   }
 
   // --- Observability (no-ops when no LaunchObs is attached) -------------------
@@ -353,7 +347,6 @@ class BlockCtx {
   /// rounded) and the "wait" trace spans.
   void record_wait_obs(const StatusArray& arr, std::size_t idx, double from_us,
                        double to_us) {
-#if SATLIB_OBS_ENABLED
     if (obs_ == nullptr) return;
     if (obs_->flag_wait_us != nullptr) {
       obs_->flag_wait_us->record(
@@ -364,12 +357,6 @@ class BlockCtx {
                             from_us, to_us - from_us,
                             "{\"cell\":" + std::to_string(idx) + "}");
     }
-#else
-    (void)arr;
-    (void)idx;
-    (void)from_us;
-    (void)to_us;
-#endif
   }
 
   // Issued transactions that DRAM serves pay the DRAM-share cost; the

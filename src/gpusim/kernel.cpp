@@ -359,7 +359,6 @@ KernelReport launch_kernel(SimContext& sim, const LaunchConfig& cfg,
   LaunchObs obs;
   obs::Histogram* sched_occupancy = nullptr;
   obs::Counter* blocks_retired = nullptr;
-#if SATLIB_OBS_ENABLED
   if (sim.metrics != nullptr) {
     obs.lookback_depth = &sim.metrics->histogram("sim.lookback_depth");
     obs.flag_wait_us = &sim.metrics->histogram("sim.flag_wait_us");
@@ -371,7 +370,6 @@ KernelReport launch_kernel(SimContext& sim, const LaunchConfig& cfg,
     obs.trace = sim.trace;
     obs.trace_pid = sim.trace->register_process(cfg.name);
   }
-#endif
 
   Scheduler scheduler(sim, cfg, body, report, cost, obs, sched_occupancy,
                       blocks_retired);
@@ -379,7 +377,6 @@ KernelReport launch_kernel(SimContext& sim, const LaunchConfig& cfg,
 
   if (sim.checker != nullptr) sim.checker->on_kernel_end();
 
-#if SATLIB_OBS_ENABLED
   if (sim.metrics != nullptr) {
     sim.metrics->counter("sim.kernel_launches").add();
     // Coalescing efficiency: useful payload bytes over issued sector bytes.
@@ -397,7 +394,6 @@ KernelReport launch_kernel(SimContext& sim, const LaunchConfig& cfg,
     sim.metrics->gauge("sim.write_coalescing_pct")
         .set(pct(c.global_bytes_written, c.global_write_sectors));
   }
-#endif
 
   sim.reports.push_back(report);
   return report;

@@ -90,16 +90,12 @@ struct LookbackObs {
   obs::Histogram* flag_wait_us = nullptr;
 
   void resolve(obs::Registry* reg) {
-#if SATLIB_OBS_ENABLED
     if (reg == nullptr) return;
     tiles_retired = &reg->counter("host.lookback.tiles_retired");
     fastpath_tiles = &reg->counter("host.lookback.fastpath_tiles");
     overlap_tiles = &reg->counter("host.lookback.overlap_tiles");
     depth = &reg->histogram("host.lookback.depth");
     flag_wait_us = &reg->histogram("host.lookback.flag_wait_us");
-#else
-    (void)reg;
-#endif
   }
 };
 
@@ -155,17 +151,12 @@ class StatusFlags {
       if (testhook::g_sched_hook != nullptr)
         testhook::g_sched_hook->on_observe(this, idx, s, want);
     } while (s < want);
-#if SATLIB_OBS_ENABLED
     if (obs.flag_wait_us != nullptr) {
       const double us = std::chrono::duration<double, std::micro>(
                             std::chrono::steady_clock::now() - t0)
                             .count();
       obs.flag_wait_us->record(static_cast<std::uint64_t>(us + 0.5));
     }
-#else
-    (void)t0;
-    (void)obs;
-#endif
     return s;
   }
 
@@ -231,9 +222,7 @@ std::size_t lookback_accumulate(const StatusFlags& status, const T* local,
     for (std::size_t i = 0; i < len; ++i) out[i] += vec[i];
     if (s >= global_state) break;
   }
-#if SATLIB_OBS_ENABLED
   if (obs.depth != nullptr) obs.depth->record(depth);
-#endif
   return depth;
 }
 

@@ -238,54 +238,54 @@ T simd_row_reduce(const T* src, T* acc, std::size_t n) {
   return sum;
 }
 
+namespace detail {
+
+/// Elements of `row` before its first vector boundary, at most `cols`:
+/// the scalar head sat_simd and sat_kahan peel so the rest of the row
+/// starts aligned and can stream.
+template <class T>
+std::size_t head_peel(const T* row, std::size_t cols) {
+  constexpr std::size_t vec_bytes = satsimd::Vec<T>::width * sizeof(T);
+  const std::size_t mis = reinterpret_cast<std::uintptr_t>(row) % vec_bytes;
+  if (mis == 0 || mis % sizeof(T) != 0) return 0;
+  return std::min((vec_bytes - mis) / sizeof(T), cols);
+}
+
+}  // namespace detail
+
 /// Single-pass vectorized SAT: both passes of Figure 2 fused into one sweep.
 /// `acc` is the column-carry vector (the previous dst row, kept hot in L1),
 /// the in-register broadcast carry is the row-carry vector, and dst streams
 /// out through non-temporal stores — every matrix element is loaded exactly
-/// once and stored exactly once, with no read-for-ownership on dst. `tile`
-/// splits each row into column chunks (the tile width of §III's
-/// decomposition); results are identical for every tile value. `src` and
-/// `dst` must have identical shape and must not alias. When `reg` is
-/// non-null the sweep publishes host.simd.elements and the analytically
-/// derived host.simd.lane_utilization_pct (share of elements processed in
-/// full vectors vs. head-peel/tail scalar iterations).
+/// once and stored exactly once, with no read-for-ownership on dst. Each
+/// row is a scalar head peel (shorter than one vector) and then one
+/// simd_row_scan_acc call. `src` and `dst` must have identical shape and
+/// must not alias. When `reg` is non-null the sweep publishes
+/// host.simd.elements and the analytically derived
+/// host.simd.lane_utilization_pct (share of elements processed in full
+/// vectors vs. head-peel/tail scalar iterations).
 template <class T>
 void sat_simd(satutil::Span2d<const T> src, satutil::Span2d<T> dst,
-              std::size_t tile = 4096, obs::Registry* reg = nullptr) {
+              obs::Registry* reg = nullptr) {
   SAT_CHECK(src.rows() == dst.rows() && src.cols() == dst.cols());
-  SAT_CHECK(tile > 0);
   const std::size_t rows = src.rows();
   const std::size_t cols = src.cols();
   if (rows == 0 || cols == 0) return;
 
-  constexpr std::size_t vec_bytes =
-      satsimd::Vec<T>::width * sizeof(T);
   const bool allow_stream = rows * cols * sizeof(T) >= kStreamMinBytes;
   std::vector<T> acc(cols, T{});
   std::size_t vec_elems = 0;
   for (std::size_t i = 0; i < rows; ++i) {
-    T carry{};
-    // Scalar-peel the row head so the first chunk (and, when `tile` is a
-    // multiple of the vector width, every later chunk) starts on a vector
-    // boundary and takes the streaming path.
-    std::size_t j0 = 0;
-    const std::size_t mis =
-        reinterpret_cast<std::uintptr_t>(&dst(i, 0)) % vec_bytes;
-    if (mis != 0 && mis % sizeof(T) == 0)
-      j0 = std::min((vec_bytes - mis) / sizeof(T), cols);
-    for (std::size_t j = 0; j < j0; ++j) {
-      carry += src(i, j);
-      dst(i, j) = acc[j] = carry + acc[j];
-    }
-    for (std::size_t bj = j0; bj < cols; bj += tile) {
-      const std::size_t nc = std::min(tile, cols - bj);
-      vec_elems += nc - nc % satsimd::Vec<T>::width;
-      carry = simd_row_scan_acc(&src(i, bj), acc.data() + bj, &dst(i, bj), nc,
-                                carry, allow_stream);
-    }
+    const T* s = &src(i, 0);
+    T* d = &dst(i, 0);
+    const std::size_t j0 = detail::head_peel(d, cols);
+    const T carry = simd_row_scan_acc(s, acc.data(), d, j0);
+    const std::size_t nc = cols - j0;
+    vec_elems += nc - nc % satsimd::Vec<T>::width;
+    simd_row_scan_acc(s + j0, acc.data() + j0, d + j0, nc, carry,
+                      allow_stream);
   }
   satsimd::store_fence();
-#if SATLIB_OBS_ENABLED
   if (reg != nullptr) {
     const std::size_t total = rows * cols;
     reg->counter("host.simd.elements").add(total);
@@ -293,54 +293,37 @@ void sat_simd(satutil::Span2d<const T> src, satutil::Span2d<T> dst,
         .set(100.0 * static_cast<double>(vec_elems) /
              static_cast<double>(total));
   }
-#endif
 }
 
 /// sat_simd with a Kahan-compensated column accumulator (Storage::kKahanF32):
 /// identical streaming structure, but the L1-resident state is two rows —
-/// the running column sums and their compensation terms — and every fold
-/// into the accumulator goes through kahan_row_scan_acc. Floating T only.
+/// the running column sums and their compensation terms — and each row is
+/// the head peel and then one kahan_row_scan_acc call. Floating T only.
 template <class T>
 void sat_kahan(satutil::Span2d<const T> src, satutil::Span2d<T> dst,
-               std::size_t tile = 4096, obs::Registry* reg = nullptr) {
+               obs::Registry* reg = nullptr) {
   static_assert(std::is_floating_point_v<T>,
                 "Storage::kKahanF32 requires a floating-point table");
   SAT_CHECK(src.rows() == dst.rows() && src.cols() == dst.cols());
-  SAT_CHECK(tile > 0);
   const std::size_t rows = src.rows();
   const std::size_t cols = src.cols();
   if (rows == 0 || cols == 0) return;
 
-  constexpr std::size_t vec_bytes = satsimd::Vec<T>::width * sizeof(T);
   const bool allow_stream = rows * cols * sizeof(T) >= kStreamMinBytes;
   std::vector<T> acc(cols, T{});
   std::vector<T> comp(cols, T{});
   std::size_t vec_elems = 0;
   for (std::size_t i = 0; i < rows; ++i) {
-    T carry{};
-    std::size_t j0 = 0;
-    const std::size_t mis =
-        reinterpret_cast<std::uintptr_t>(&dst(i, 0)) % vec_bytes;
-    if (mis != 0 && mis % sizeof(T) == 0)
-      j0 = std::min((vec_bytes - mis) / sizeof(T), cols);
-    for (std::size_t j = 0; j < j0; ++j) {
-      carry += src(i, j);
-      const T y = carry - comp[j];
-      const T t = acc[j] + y;
-      comp[j] = (t - acc[j]) - y;
-      acc[j] = t;
-      dst(i, j) = t;
-    }
-    for (std::size_t bj = j0; bj < cols; bj += tile) {
-      const std::size_t nc = std::min(tile, cols - bj);
-      vec_elems += nc - nc % satsimd::Vec<T>::width;
-      carry = kahan_row_scan_acc(&src(i, bj), acc.data() + bj,
-                                 comp.data() + bj, &dst(i, bj), nc, carry,
-                                 allow_stream);
-    }
+    const T* s = &src(i, 0);
+    T* d = &dst(i, 0);
+    const std::size_t j0 = detail::head_peel(d, cols);
+    const T carry = kahan_row_scan_acc(s, acc.data(), comp.data(), d, j0);
+    const std::size_t nc = cols - j0;
+    vec_elems += nc - nc % satsimd::Vec<T>::width;
+    kahan_row_scan_acc(s + j0, acc.data() + j0, comp.data() + j0, d + j0, nc,
+                       carry, allow_stream);
   }
   satsimd::store_fence();
-#if SATLIB_OBS_ENABLED
   if (reg != nullptr) {
     const std::size_t total = rows * cols;
     reg->counter("host.simd.elements").add(total);
@@ -348,7 +331,6 @@ void sat_kahan(satutil::Span2d<const T> src, satutil::Span2d<T> dst,
         .set(100.0 * static_cast<double>(vec_elems) /
              static_cast<double>(total));
   }
-#endif
 }
 
 }  // namespace sathost

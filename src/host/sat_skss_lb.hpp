@@ -273,12 +273,9 @@ void sat_skss_lb_batch(ThreadPool& pool,
 
   LookbackObs obs;
   obs.resolve(opt.metrics);
-  int trace_pid = 0;
-#if SATLIB_OBS_ENABLED
-  if (opt.trace != nullptr)
-    trace_pid = opt.trace->register_process("host skss-lb");
+  const int trace_pid =
+      opt.trace != nullptr ? opt.trace->register_process("host skss-lb") : 0;
   std::vector<std::size_t> overlap_count(nworkers, 0);
-#endif
 
   const bool allow_stream = rows * cols * sizeof(T) >= kStreamMinBytes;
 
@@ -298,7 +295,6 @@ void sat_skss_lb_batch(ThreadPool& pool,
       if (opt.tile_hook) opt.tile_hook(serial);
       const std::size_t img = serial / tpi;
       const std::size_t local = serial % tpi;  // serial within the image
-#if SATLIB_OBS_ENABLED
       // Pipeline overlap: this tile starts while the previous image's
       // terminal tile (largest σ ⇒ row-major index tpi−1) is still
       // unpublished. A metric, not a gate — tiles of different images
@@ -307,7 +303,6 @@ void sat_skss_lb_batch(ThreadPool& pool,
           aux[img - 1].r_status.peek(tpi - 1) < hflag::kGs)
         ++overlap_count[worker_index];
       const double ts = opt.trace != nullptr ? opt.trace->now_host_us() : 0.0;
-#endif
       LookbackAux<T>& iaux = aux[img];
       const satutil::Span2d<const T> src = srcs[img];
       const satutil::Span2d<T> out = dsts[img];
@@ -386,14 +381,12 @@ void sat_skss_lb_batch(ThreadPool& pool,
         // the skipped LOCAL/GLS states).
         iaux.r_status.publish(self, hflag::kGs);
         iaux.c_status.publish(self, hflag::kGcs);
-#if SATLIB_OBS_ENABLED
         if (obs.fastpath_tiles != nullptr) {
           obs.fastpath_tiles->add();
           if (tj > 0) obs.depth->record(1);
           if (ti > 0) obs.depth->record(1);
           if (ti > 0 && tj > 0) obs.depth->record(1);
         }
-#endif
       } else {
         T* lrs_self = iaux.lrs.get() + iaux.vec_base(self);
         T* lcs_self = iaux.lcs.get() + iaux.vec_base(self);
@@ -457,7 +450,6 @@ void sat_skss_lb_batch(ThreadPool& pool,
         (void)sweep(grs_left, gcs_up, gs_corner, arena.carries());
       }
 
-#if SATLIB_OBS_ENABLED
       if (obs.tiles_retired != nullptr) obs.tiles_retired->add();
       if (opt.trace != nullptr) {
         char args[112];
@@ -468,7 +460,6 @@ void sat_skss_lb_batch(ThreadPool& pool,
         opt.trace->complete(trace_pid, worker_index, "tile", "host",
                             ts, opt.trace->now_host_us() - ts, args);
       }
-#endif
     }
     satsimd::store_fence();
     if (testhook::g_sched_hook != nullptr) testhook::g_sched_hook->on_exit();
@@ -476,7 +467,6 @@ void sat_skss_lb_batch(ThreadPool& pool,
 
   pool.run_persistent(nworkers, worker);
 
-#if SATLIB_OBS_ENABLED
   if (opt.metrics != nullptr) {
     // Which width this call ran, so a trace or ledger row shows whether
     // auto_tile_w's page-wide rule fired.
@@ -494,7 +484,6 @@ void sat_skss_lb_batch(ThreadPool& pool,
                static_cast<double>(eligible));
     }
   }
-#endif
 }
 
 /// Computes the SAT of `src` into `dst` with the host 1R1W-SKSS-LB engine.

@@ -75,19 +75,12 @@ void sat_tiled_batch(ThreadPool& pool,
   const std::unique_ptr<Wide[]> row_sums(new Wide[batch * tc * rows]);
   const std::unique_ptr<Wide[]> bottoms(new Wide[batch * tr * cols]);
   const bool allow_stream = rows * cols * sizeof(T) >= kStreamMinBytes;
-#if SATLIB_OBS_ENABLED
   const int trace_pid =
       trace != nullptr ? trace->register_process("host tiled") : 0;
-#else
-  (void)metrics;
-  (void)trace;
-#endif
 
   // Pass 1, one tile per chunk, claimed in column-major order.
   pool.parallel_for(total, [&](std::size_t s) {
-#if SATLIB_OBS_ENABLED
     const double ts = trace != nullptr ? trace->now_host_us() : 0.0;
-#endif
     // The thread's staging tile and accumulator row. Faulting in a fresh
     // tile costs more than sweeping it (0.4 ms for 1 MiB on a 4-core KVM
     // Xeon), so each thread keeps the largest it has needed.
@@ -140,7 +133,6 @@ void sat_tiled_batch(ThreadPool& pool,
     sat::TiledSat<T>& out = *outs[img];
     const std::size_t tile = out.tile_index(ti, tj);
     out.encode_tile(tile, stage, w, P, Q, mn, mx, allow_stream);
-#if SATLIB_OBS_ENABLED
     if (trace != nullptr) {
       char args[96];
       std::snprintf(args, sizeof args,
@@ -149,7 +141,6 @@ void sat_tiled_batch(ThreadPool& pool,
       trace->complete(trace_pid, ThreadPool::lane(), "tile", "host", ts,
                       trace->now_host_us() - ts, args);
     }
-#endif
   });
 
   // Pass 2a, per tile column: bottoms(ti) becomes the column sums of the
@@ -185,7 +176,6 @@ void sat_tiled_batch(ThreadPool& pool,
     }
   });
 
-#if SATLIB_OBS_ENABLED
   if (metrics != nullptr) {
     std::size_t resid = 0, dense = 0, overflow = 0;
     for (const sat::TiledSat<T>* o : outs) {
@@ -198,7 +188,6 @@ void sat_tiled_batch(ThreadPool& pool,
     if (overflow > 0)
       metrics->counter("host.storage.overflow_tiles").add(overflow);
   }
-#endif
 }
 
 /// Single-image form of sat_tiled_batch (a batch of one).

@@ -45,22 +45,16 @@ ThreadPool::ThreadPool(std::size_t workers) {
 }
 
 void ThreadPool::set_obs(obs::Registry* reg, obs::TraceSink* trace) {
-#if SATLIB_OBS_ENABLED
   obs_chunks_ = reg != nullptr ? &reg->counter("host.pool.chunks") : nullptr;
   obs_chunk_us_ =
       reg != nullptr ? &reg->histogram("host.pool.chunk_us") : nullptr;
   trace_ = trace;
   trace_pid_ =
       trace != nullptr ? trace->register_process("host thread pool") : 0;
-#else
-  (void)reg;
-  (void)trace;
-#endif
 }
 
 void ThreadPool::run_chunk(std::size_t chunk,
                            const std::function<void(std::size_t)>& fn) {
-#if SATLIB_OBS_ENABLED
   if (obs_chunks_ != nullptr || trace_ != nullptr) {
     const auto t0 = std::chrono::steady_clock::now();
     const double ts = trace_ != nullptr ? trace_->now_host_us() : 0.0;
@@ -79,7 +73,6 @@ void ThreadPool::run_chunk(std::size_t chunk,
     }
     return;
   }
-#endif
   fn(chunk);
 }
 

@@ -4,9 +4,8 @@
 //
 // Design constraints, in order:
 //   1. Zero overhead when off. Engines hold an `obs::Registry*` that is
-//      null by default; every publication site is a single pointer test.
-//      Defining SATLIB_OBS_DISABLE at compile time additionally compiles
-//      the engine hooks out entirely (SATLIB_OBS_ENABLED below).
+//      null by default; every publication site is a single pointer test,
+//      and that null pointer is the only off switch.
 //   2. Lock-cheap when on. Handles are resolved by name once (per launch /
 //      per run — the only mutex in the hot-path design); increments are
 //      relaxed atomic adds on cacheline-padded thread-local shards, so the
@@ -27,12 +26,6 @@
 #include <string_view>
 #include <mutex>
 #include <vector>
-
-#ifdef SATLIB_OBS_DISABLE
-#define SATLIB_OBS_ENABLED 0
-#else
-#define SATLIB_OBS_ENABLED 1
-#endif
 
 namespace obs {
 

@@ -14,8 +14,8 @@
 // Thread safety: every recording call takes the sink's mutex. Spans are
 // coarse (one per block / walk / wait / pool chunk, not per memory access),
 // so the lock is far off any hot path; the zero-overhead-when-off rule is
-// enforced by callers holding a null TraceSink* (see obs/registry.hpp for
-// the SATLIB_OBS_ENABLED compile-time switch).
+// enforced by callers holding a null TraceSink* (the only off switch; see
+// obs/registry.hpp).
 #pragma once
 
 #include <chrono>

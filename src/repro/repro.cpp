@@ -1,6 +1,7 @@
 #include "repro/repro.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "sat/algo_batch.hpp"
 #include "scan/row_scan.hpp"
@@ -61,7 +62,7 @@ Result<T> compute_sat(const sat::Matrix<T>& input, const Options& opts) {
   gpusim::GlobalBuffer<T> a(sim, rows * cols, "input");
   gpusim::GlobalBuffer<T> b(sim, rows * cols, "sat");
   if (rows == input.rows() && cols == input.cols()) {
-    a.upload(input.storage());
+    a.upload(std::span(input.data(), input.size()));
   } else if (sim.materialize) {
     auto padded = a.view2d(rows, cols);
     for (std::size_t i = 0; i < input.rows(); ++i)

@@ -144,6 +144,7 @@ template <class T>
 RunResult run_algorithm(gpusim::SimContext& sim, Algorithm algo,
                         gpusim::GlobalBuffer<T>& a, gpusim::GlobalBuffer<T>& b,
                         std::size_t n, const SatParams& p = {}) {
+  SAT_CHECK_MSG(n > 0, name_of(algo) << " needs a non-empty matrix");
   switch (algo) {
     case Algorithm::kDuplicate: return run_duplicate(sim, a, b, n, p);
     case Algorithm::k2R2W: return run_2r2w(sim, a, b, n, p);
@@ -168,6 +169,9 @@ RunResult run_algorithm_rect(gpusim::SimContext& sim, Algorithm algo,
                              std::size_t cols, const SatParams& p = {}) {
   SAT_CHECK_MSG(supports_rectangular(algo),
                 name_of(algo) << " has no native rectangular implementation");
+  SAT_CHECK_MSG(rows > 0 && cols > 0,
+                name_of(algo) << " needs a non-empty matrix, got " << rows
+                              << "x" << cols);
   switch (algo) {
     case Algorithm::kDuplicate: return run_duplicate(sim, a, b, rows, cols, p);
     case Algorithm::k2R2W: return run_2r2w(sim, a, b, rows, cols, p);

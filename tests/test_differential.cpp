@@ -5,6 +5,8 @@
 // suites.
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "core/matrix.hpp"
 #include "gpusim/gpusim.hpp"
 #include "host/sat_cpu.hpp"
@@ -45,7 +47,7 @@ TEST(Differential, RandomConfigurationsAllAgree) {
                                             : gpusim::DeviceConfig::titan_v());
       GlobalBuffer<std::int32_t> a(sim, rows * cols, "in"),
           b(sim, rows * cols, "out");
-      a.upload(input.storage());
+      a.upload(std::span(input.data(), input.size()));
       SatParams p;
       p.tile_w = w;
       p.threads_per_block = 1 << (8 + rng.next_below(3));  // 256..1024

@@ -41,21 +41,6 @@ TEST(HostSat, TwoPassEqualsSinglePass) {
   EXPECT_EQ(b1, b2);
 }
 
-// sat_simd splits every row into column blocks of width `tile`; the block
-// width must never change the result.
-class BlockedTile : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(BlockedTile, BlockedMatchesSequential) {
-  const auto a = Matrix<std::int64_t>::random(130, 70, 3, 0, 50);
-  Matrix<std::int64_t> ref(130, 70), got(130, 70);
-  sathost::sat_sequential<std::int64_t>(a.view(), ref.view());
-  sathost::sat_simd<std::int64_t>(a.view(), got.view(), GetParam());
-  EXPECT_EQ(got, ref);
-}
-
-INSTANTIATE_TEST_SUITE_P(Tiles, BlockedTile,
-                         ::testing::Values<std::size_t>(1, 7, 16, 64, 200));
-
 // The multithreaded engine (1R1W-SKSS-LB, automatic tile width) at every
 // pool size.
 class ParallelWorkers : public ::testing::TestWithParam<std::size_t> {};

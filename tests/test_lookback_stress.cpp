@@ -3,6 +3,8 @@
 // degenerate grids — the situations §IV's design decisions exist for.
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "core/matrix.hpp"
 #include "gpusim/gpusim.hpp"
 #include "host/sat_cpu.hpp"
@@ -23,7 +25,7 @@ Matrix<std::int32_t> run_and_fetch(SimContext& sim, Algorithm algo,
                                    const SatParams& p) {
   const std::size_t n = input.rows();
   GlobalBuffer<std::int32_t> a(sim, n * n, "in"), b(sim, n * n, "out");
-  a.upload(input.storage());
+  a.upload(std::span(input.data(), input.size()));
   (void)satalgo::run_algorithm(sim, algo, a, b, n, p);
   Matrix<std::int32_t> out(n, n);
   for (std::size_t i = 0; i < n; ++i)

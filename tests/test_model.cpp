@@ -6,6 +6,7 @@
 #include "model/predict.hpp"
 #include "model/table3.hpp"
 #include "sat/registry.hpp"
+#include "util/check.hpp"
 
 namespace {
 
@@ -121,6 +122,15 @@ TEST(Model, CellCarriesCountersAndMetadata) {
   EXPECT_GE(cell.totals.element_reads, 1024u * 1024u);
   EXPECT_GT(cell.max_threads, 0u);
   EXPECT_TRUE(cell.paper_ms.has_value());
+}
+
+TEST(Model, EmptyShapeIsRefused) {
+  // n = 0 is a CheckError for every algorithm, never a zero-tile grid that
+  // a kernel divides by or indexes into.
+  for (auto algo : satalgo::all_sat_algorithms()) {
+    EXPECT_THROW((void)run_cell(0, algo, 64, false), satutil::CheckError)
+        << satalgo::name_of(algo);
+  }
 }
 
 TEST(Model, FunctionalAndCountOnlyCellsAgree) {

@@ -473,8 +473,4 @@ TEST(GoldenTrace, SkssLbRunRoundTrips) {
   }
 }
 
-// With SATLIB_OBS_DISABLE undefined (the default build), the hooks are
-// compiled in; this test simply pins the macro's default.
-TEST(ObsConfig, EnabledByDefault) { EXPECT_EQ(SATLIB_OBS_ENABLED, 1); }
-
 }  // namespace

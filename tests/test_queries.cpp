@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <span>
 
 #include "core/api.hpp"
 #include "gpusim/gpusim.hpp"
@@ -48,8 +49,8 @@ class QueryKernels : public ::testing::Test {
 TEST_F(QueryKernels, SatQueriesMatchBruteForceKernel) {
   gpusim::GlobalBuffer<std::int64_t> in_buf(sim, kN * kN, "in"),
       tab_buf(sim, kN * kN, "tab");
-  in_buf.upload(input.storage());
-  tab_buf.upload(table.storage());
+  in_buf.upload(std::span(input.data(), input.size()));
+  tab_buf.upload(std::span(table.data(), table.size()));
   const auto rects = random_rects(500, 7);
   const auto via_sat =
       satalgo::run_query_kernel(sim, tab_buf, kN, kN, rects);
@@ -64,7 +65,7 @@ TEST_F(QueryKernels, SatQueriesMatchBruteForceKernel) {
 
 TEST_F(QueryKernels, SatKernelReadsExactlyFourPerQuery) {
   gpusim::GlobalBuffer<std::int64_t> tab_buf(sim, kN * kN, "tab");
-  tab_buf.upload(table.storage());
+  tab_buf.upload(std::span(table.data(), table.size()));
   const auto rects = random_rects(1000, 9);
   gpusim::KernelReport rep;
   (void)satalgo::run_query_kernel(sim, tab_buf, kN, kN, rects, &rep);
@@ -74,7 +75,7 @@ TEST_F(QueryKernels, SatKernelReadsExactlyFourPerQuery) {
 
 TEST_F(QueryKernels, BruteKernelReadsTheWholeRectangles) {
   gpusim::GlobalBuffer<std::int64_t> in_buf(sim, kN * kN, "in");
-  in_buf.upload(input.storage());
+  in_buf.upload(std::span(input.data(), input.size()));
   const std::vector<Rect> rects = {{0, 0, 10, 10}, {5, 5, 6, 105}};
   gpusim::KernelReport rep;
   (void)satalgo::run_query_kernel_brute(sim, in_buf, kN, kN, rects, &rep);
@@ -83,7 +84,7 @@ TEST_F(QueryKernels, BruteKernelReadsTheWholeRectangles) {
 
 TEST_F(QueryKernels, EmptyQueryListIsANoop) {
   gpusim::GlobalBuffer<std::int64_t> tab_buf(sim, kN * kN, "tab");
-  tab_buf.upload(table.storage());
+  tab_buf.upload(std::span(table.data(), table.size()));
   EXPECT_TRUE(satalgo::run_query_kernel(sim, tab_buf, kN, kN, {}).empty());
 }
 

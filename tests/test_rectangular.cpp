@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <span>
 
 #include "core/api.hpp"
 #include "core/matrix.hpp"
@@ -11,6 +12,7 @@
 #include "host/sat_cpu.hpp"
 #include "repro/repro.hpp"
 #include "sat/registry.hpp"
+#include "util/check.hpp"
 
 namespace {
 
@@ -110,7 +112,7 @@ TEST_P(RectAlgorithms, MatchesOracleExactly) {
 
   GlobalBuffer<std::int32_t> a(sim, c.rows * c.cols, "in"),
       b(sim, c.rows * c.cols, "out");
-  a.upload(input.storage());
+  a.upload(std::span(input.data(), input.size()));
   SatParams p;
   p.tile_w = c.w;
   (void)satalgo::run_algorithm_rect(sim, c.algo, a, b, c.rows, c.cols, p);
@@ -158,7 +160,7 @@ TEST(RectAlgorithms, SkssLbRectUnderAdversarialDispatch) {
     SimContext sim(gpusim::DeviceConfig::tiny(1, 1));
     GlobalBuffer<std::int32_t> a(sim, rows * cols, "in"),
         b(sim, rows * cols, "out");
-    a.upload(input.storage());
+    a.upload(std::span(input.data(), input.size()));
     SatParams p;
     p.tile_w = 32;
     p.order = order;
@@ -175,6 +177,20 @@ TEST(RectAlgorithms, EveryAlgorithmSupportsRectangles) {
     EXPECT_TRUE(satalgo::supports_rectangular(algo)) << satalgo::name_of(algo);
 }
 
+TEST(RectAlgorithms, EmptyShapeIsRefused) {
+  for (auto algo : satalgo::all_sat_algorithms()) {
+    for (auto [rows, cols] : {std::pair<std::size_t, std::size_t>{0, 64},
+                              std::pair<std::size_t, std::size_t>{64, 0}}) {
+      SimContext sim;
+      GlobalBuffer<std::int32_t> a(sim, 0, "in"), b(sim, 0, "out");
+      EXPECT_THROW((void)satalgo::run_algorithm_rect(sim, algo, a, b, rows,
+                                                     cols),
+                   satutil::CheckError)
+          << satalgo::name_of(algo) << " " << rows << "x" << cols;
+    }
+  }
+}
+
 TEST(RectAlgorithms, HybridRegionsCorrectOnExtremeAspectRatios) {
   // 2×12 and 12×2 tile grids: region clamping (s ≤ min(gr,gc)−1 = 1) and
   // the B band spanning almost everything.
@@ -186,7 +202,7 @@ TEST(RectAlgorithms, HybridRegionsCorrectOnExtremeAspectRatios) {
     sathost::sat_sequential<std::int32_t>(input.view(), ref.view());
     GlobalBuffer<std::int32_t> a(sim, rows * cols, "in"),
         b(sim, rows * cols, "out");
-    a.upload(input.storage());
+    a.upload(std::span(input.data(), input.size()));
     SatParams p;
     p.tile_w = 32;
     p.hybrid_r = 0.25;

@@ -4,6 +4,7 @@
 // checked against the sequential CPU oracle.
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -28,7 +29,7 @@ Matrix<T> run_on_sim(SimContext& sim, Algorithm algo, const Matrix<T>& input,
   const std::size_t n = input.rows();
   GlobalBuffer<T> a(sim, n * n, "in");
   GlobalBuffer<T> b(sim, n * n, "out");
-  a.upload(input.storage());
+  a.upload(std::span(input.data(), input.size()));
   auto run = satalgo::run_algorithm(sim, algo, a, b, n, params);
   if (out_run != nullptr) *out_run = std::move(run);
   Matrix<T> result(n, n);
@@ -282,7 +283,7 @@ TEST(LogStepBaseline, MatchesOracleOnSquaresAndRectangles) {
     sathost::sat_sequential<std::int64_t>(input.view(), ref.view());
     GlobalBuffer<std::int64_t> a(sim, rows * cols, "in"),
         b(sim, rows * cols, "out");
-    a.upload(input.storage());
+    a.upload(std::span(input.data(), input.size()));
     (void)satalgo::run_log_step(sim, a, b, rows, cols, {});
     for (std::size_t k = 0; k < rows * cols; ++k)
       ASSERT_EQ(b[k], ref(k / cols, k % cols)) << rows << "x" << cols;

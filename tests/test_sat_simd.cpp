@@ -39,13 +39,14 @@ struct StridedBuffer {
 };
 
 template <class T>
-void fill_random_integers(satutil::Span2d<T> m, std::uint64_t seed) {
-  // Values in [0, 4]: a 1031² SAT tops out near 4.3M, well inside float's
-  // 2^24 exact-integer range.
+void fill_random_integers(satutil::Span2d<T> m, std::uint64_t seed,
+                          int hi = 4) {
+  // Values in [0, hi]: at the default 4 a 1031² SAT tops out near 4.3M,
+  // well inside float's 2^24 exact-integer range.
   satutil::Rng rng(seed);
   for (std::size_t i = 0; i < m.rows(); ++i)
     for (std::size_t j = 0; j < m.cols(); ++j)
-      m(i, j) = static_cast<T>(rng.uniform<int>(0, 4));
+      m(i, j) = static_cast<T>(rng.uniform<int>(0, hi));
 }
 
 template <class T>
@@ -83,19 +84,6 @@ TYPED_TEST(SatSimdDifferential, MatchesSequentialUnalignedStrided) {
   }
 }
 
-TYPED_TEST(SatSimdDifferential, MatchesSequentialAcrossTileSizes) {
-  using T = TypeParam;
-  const std::size_t n = 255;
-  sat::Matrix<T> a(n, n), ref(n, n);
-  fill_random_integers<T>(a.view(), 42);
-  sathost::sat_sequential<T>(a.view(), ref.view());
-  for (std::size_t tile : {1ul, 8ul, 33ul, 64ul, 300ul}) {
-    sat::Matrix<T> got(n, n);
-    sathost::sat_simd<T>(a.view(), got.view(), tile);
-    expect_equal<T>(got.view(), ref.view(), "tile");
-  }
-}
-
 TYPED_TEST(SatSimdDifferential, MatchesSequentialRectangular) {
   using T = TypeParam;
   for (auto [rows, cols] : {std::pair<std::size_t, std::size_t>{1, 100},
@@ -105,20 +93,8 @@ TYPED_TEST(SatSimdDifferential, MatchesSequentialRectangular) {
     sat::Matrix<T> a(rows, cols), ref(rows, cols), got(rows, cols);
     fill_random_integers<T>(a.view(), rows * 1000 + cols);
     sathost::sat_sequential<T>(a.view(), ref.view());
-    sathost::sat_simd<T>(a.view(), got.view(), 48);
+    sathost::sat_simd<T>(a.view(), got.view());
     expect_equal<T>(got.view(), ref.view(), "rect");
-  }
-}
-
-TEST(SatSimdParity, BlockedCarryFixStillMatchesSequential) {
-  // The row carry handed from one column block to the next must not change
-  // results, including when blocks straddle the matrix edge.
-  const auto a = sat::Matrix<std::int64_t>::random(131, 259, 17, 0, 99);
-  sat::Matrix<std::int64_t> ref(131, 259), got(131, 259);
-  sathost::sat_sequential<std::int64_t>(a.view(), ref.view());
-  for (std::size_t tile : {1ul, 16ul, 64ul, 131ul, 512ul}) {
-    sathost::sat_simd<std::int64_t>(a.view(), got.view(), tile);
-    EXPECT_EQ(got, ref) << "tile=" << tile;
   }
 }
 
@@ -189,13 +165,49 @@ TYPED_TEST(SimdRowReduce, MatchesScalarLoop) {
   }
 }
 
+// Each row after the head peel is one kernel call, however wide. 256 rows of
+// 9000 4-byte elements (9.2 MB) pass kStreamMinBytes, so the sweep streams
+// rows longer than any cache-sized block; 9001 columns move each row start
+// 4 bytes from the last, so the head peel changes length from row to row.
+// Values in [0, 3] keep every f32 sum exact (under 7M < 2^24).
+template <class T, class Sweep>
+void expect_wide_rows_match(Sweep sweep) {
+  const std::size_t rows = 256;
+  for (std::size_t cols : {9000ul, 9001ul}) {
+    ASSERT_GE(rows * cols * sizeof(T), sathost::kStreamMinBytes);
+    sat::Matrix<T> a(rows, cols), ref(rows, cols), got(rows, cols);
+    fill_random_integers<T>(a.view(), cols, 3);
+    sathost::sat_sequential<T>(a.view(), ref.view());
+    sweep(a.view(), got.view());
+    EXPECT_TRUE(got == ref) << "cols=" << cols;
+  }
+}
+
+TEST(SatSimdWideRows, F32MatchesSequential) {
+  expect_wide_rows_match<float>([](auto src, auto dst) {
+    sathost::sat_simd<float>(src, dst);
+  });
+}
+
+TEST(SatSimdWideRows, I32MatchesSequential) {
+  expect_wide_rows_match<std::int32_t>([](auto src, auto dst) {
+    sathost::sat_simd<std::int32_t>(src, dst);
+  });
+}
+
+TEST(SatSimdWideRows, KahanF32MatchesSequential) {
+  expect_wide_rows_match<float>([](auto src, auto dst) {
+    sathost::sat_kahan<float>(src, dst);
+  });
+}
+
 TEST(SatSimdParity, GenericFallbackHandlesInt64) {
   // int64 has no native vector specialization; sat_simd must still work
   // through the generic width-4 fallback.
   const auto a = sat::Matrix<std::int64_t>::random(77, 91, 23, 0, 1000);
   sat::Matrix<std::int64_t> ref(77, 91), got(77, 91);
   sathost::sat_sequential<std::int64_t>(a.view(), ref.view());
-  sathost::sat_simd<std::int64_t>(a.view(), got.view(), 32);
+  sathost::sat_simd<std::int64_t>(a.view(), got.view());
   EXPECT_EQ(got, ref);
 }
 

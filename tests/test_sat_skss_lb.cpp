@@ -257,12 +257,10 @@ TEST(SkssLb, PageWideAutoTilesMatchSequential) {
   opt.metrics = &reg;
   sathost::sat_skss_lb<std::int32_t>(pool, input.view(), got.view(), opt);
   ASSERT_TRUE(got == ref);
-#if SATLIB_OBS_ENABLED
   const obs::Snapshot snap = reg.snapshot();
   const double* w = snap.gauge("host.lookback.tile_w");
   ASSERT_NE(w, nullptr);
   EXPECT_EQ(*w, 1024.0);
-#endif
 }
 
 TEST(SkssLb, EmptyMatrixIsNoop) {
@@ -376,7 +374,6 @@ TEST(SkssLb, PublishesLookbackMetrics) {
   opt.metrics = &reg;
   sathost::sat_skss_lb<std::int64_t>(pool, input.view(), got.view(), opt);
   expect_sat_equal(input, got);
-#if SATLIB_OBS_ENABLED
   const obs::Snapshot snap = reg.snapshot();
   bool saw_tiles = false;
   for (const auto& [name, value] : snap.counters) {
@@ -393,7 +390,6 @@ TEST(SkssLb, PublishesLookbackMetrics) {
   const double* tile_w = snap.gauge("host.lookback.tile_w");
   ASSERT_NE(tile_w, nullptr);
   EXPECT_EQ(*tile_w, 64.0);
-#endif
 }
 
 TEST(SkssLb, EmitsPerTileTraceSpans) {
@@ -406,10 +402,8 @@ TEST(SkssLb, EmitsPerTileTraceSpans) {
   opt.trace = &sink;
   sathost::sat_skss_lb<std::int64_t>(pool, input.view(), got.view(), opt);
   expect_sat_equal(input, got);
-#if SATLIB_OBS_ENABLED
   // One complete span per tile plus the process-name metadata event.
   EXPECT_GE(sink.event_count(), (128 / 32) * (128 / 32));
-#endif
 }
 
 TEST(RunPersistent, InvokesEveryWorkerIndexOnce) {

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "core/api.hpp"
@@ -205,7 +206,6 @@ TEST(TiledResidual, ResidualBytesUndercutDenseBytes) {
   // 2 bytes/element + bases. ≥ 40% under the 4-byte dense table.
   EXPECT_EQ(t.overflow_tiles(), 0u);
   EXPECT_LE(t.residual_bytes(), t.dense_bytes() * 6 / 10);
-#if SATLIB_OBS_ENABLED
   const auto snap = reg.snapshot();
   const std::uint64_t* rb = snap.counter("host.storage.residual_bytes");
   const std::uint64_t* db = snap.counter("host.storage.dense_bytes");
@@ -215,11 +215,9 @@ TEST(TiledResidual, ResidualBytesUndercutDenseBytes) {
   EXPECT_EQ(*db, t.dense_bytes());
   // No overflow ⇒ the counter is never resolved, so it must be absent.
   EXPECT_EQ(snap.counter("host.storage.overflow_tiles"), nullptr);
-#endif
 }
 
 TEST(TiledResidual, LbEncoderPublishesStorageMetrics) {
-#if SATLIB_OBS_ENABLED
   const std::size_t n = 128, w = 32;
   const auto in = Matrix<std::int32_t>::random(n, n, 9, 0, 3);
   TiledSat<std::int32_t> t(n, n, w);
@@ -233,9 +231,6 @@ TEST(TiledResidual, LbEncoderPublishesStorageMetrics) {
   ASSERT_NE(db, nullptr);
   EXPECT_EQ(*rb, t.residual_bytes());
   EXPECT_EQ(*db, t.dense_bytes());
-#else
-  GTEST_SKIP() << "observability compiled out";
-#endif
 }
 
 // --- decompress-on-the-fly query kernel ---------------------------------
@@ -250,7 +245,7 @@ TEST(TiledResidual, QueryKernelMatchesDenseKernelBitExactly) {
 
   gpusim::SimContext sim;
   gpusim::GlobalBuffer<std::int64_t> tab_buf(sim, n * n, "tab");
-  tab_buf.upload(dense.storage());
+  tab_buf.upload(std::span(dense.data(), dense.size()));
   const auto rects = random_rects(n, n, 400, 13);
   const auto via_dense =
       satalgo::run_query_kernel(sim, tab_buf, n, n, rects);

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 
 #include "core/region.hpp"
 #include "util/check.hpp"
@@ -293,7 +294,7 @@ TEST(Vision, DeviceBoxFilterMatchesHostFilter) {
 
   gpusim::SimContext sim;
   gpusim::GlobalBuffer<double> table_buf(sim, n * n, "table");
-  table_buf.upload(table.storage());
+  table_buf.upload(std::span(table.data(), table.size()));
   gpusim::GlobalBuffer<float> out_buf(sim, n * n, "out");
   satalgo::SatParams p;
   p.tile_w = 32;

@@ -127,7 +127,7 @@ std::vector<Record> run_host_benches(bool smoke) {
       obs::Registry reg;
       out.push_back(time_host(
           "simd", n, smoke,
-          [&] { sathost::sat_simd<float>(src, dst, 4096, &reg); }, &reg));
+          [&] { sathost::sat_simd<float>(src, dst, &reg); }, &reg));
     }
     // The paper's 1R1W-SKSS-LB on the host. The primary row runs the
     // engine's auto tile width (worker-count-scaled) and carries the
@@ -214,7 +214,7 @@ std::vector<Record> run_host_benches(bool smoke) {
       obs::Registry reg;
       out.push_back(time_host(
           "kahan", n, smoke,
-          [&] { sathost::sat_kahan<float>(src, dst, 4096, &reg); }, &reg));
+          [&] { sathost::sat_kahan<float>(src, dst, &reg); }, &reg));
     }
     // Batch-pipeline row: kBatch same-size images through one scheduler
     // call (sat_skss_lb_batch), so late tiles of image k overlap early

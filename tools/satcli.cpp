@@ -14,7 +14,9 @@
 //   trace    dump the per-block timeline of a SKSS-LB run as CSV
 //   verify   run every registry algorithm under the soft-sync protocol
 //            checker across a size/tile-width sweep
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <span>
 #include <string>
@@ -31,6 +33,25 @@
 
 namespace {
 
+/// A bad flag value is a usage error: one `satcli: <message>` line on
+/// stderr and exit status 1.
+[[noreturn]] void usage_error(const std::string& message) {
+  std::fprintf(stderr, "satcli: %s\n", message.c_str());
+  std::exit(1);
+}
+
+/// Reads a size or count flag. A negative value would wrap through
+/// std::size_t, so it is refused, and so is zero unless `zero_ok`.
+std::size_t get_count(const satutil::ArgParser& args, const std::string& flag,
+                      bool zero_ok = false) {
+  const std::int64_t v = args.get_int(flag);
+  if (v < 0 || (v == 0 && !zero_ok))
+    usage_error("--" + flag + " must be " +
+                (zero_ok ? "non-negative" : "positive") + ", got '" +
+                args.get(flag) + "'");
+  return static_cast<std::size_t>(v);
+}
+
 /// Observability requested on the command line: `--metrics[=json|pretty]`
 /// and `--trace-out <file>`, honored by compute and cell modes.
 struct ObsRequest {
@@ -46,12 +67,9 @@ struct ObsRequest {
     const std::string m = args.get("metrics");
     if (m == "true" || m == "pretty") metrics_mode = "pretty";
     else if (m == "json") metrics_mode = "json";
-    else if (m != "false") {
-      std::fprintf(stderr,
-                   "unknown --metrics format '%s' (want json or pretty)\n",
-                   m.c_str());
-      std::exit(1);
-    }
+    else if (m != "false")
+      usage_error("unknown --metrics format '" + m +
+                  "' (want json or pretty)");
     trace_path = args.get("trace-out");
   }
 
@@ -76,11 +94,9 @@ struct ObsRequest {
 sat::Storage parse_storage(const std::string& name) {
   if (name == "dense") return sat::Storage::kDense;
   if (name == "kahan") return sat::Storage::kKahanF32;
-  std::fprintf(stderr,
-               "unknown --storage '%s' (want dense or kahan; the tiled store "
-               "is sat::compute_sat_tiled's)\n",
-               name.c_str());
-  std::exit(1);
+  usage_error("unknown --storage '" + name +
+              "' (want dense or kahan; the tiled store is "
+              "sat::compute_sat_tiled's)");
 }
 
 satalgo::Algorithm parse_algorithm(const std::string& name) {
@@ -92,8 +108,7 @@ satalgo::Algorithm parse_algorithm(const std::string& name) {
   if (name == "hybrid") return satalgo::Algorithm::kHybrid;
   if (name == "skss") return satalgo::Algorithm::kSkss;
   if (name == "skss_lb") return satalgo::Algorithm::kSkssLb;
-  SAT_CHECK_MSG(false, "unknown algorithm '" << name << "'");
-  return satalgo::Algorithm::kSkssLb;
+  usage_error("unknown algorithm '" + name + "'");
 }
 
 /// Validates every table against the CPU oracle and prints one summary
@@ -120,15 +135,12 @@ std::optional<std::string> compute_on_host(
     const satutil::ArgParser& args, const std::vector<sat::Matrix<float>>& in,
     ObsRequest& obs, const std::string& shape) {
   const std::string impl = args.get("host-impl");
-  if (impl != "skss_lb") {
-    std::fprintf(stderr,
-                 "unknown --host-impl '%s': the host core's one dense engine "
-                 "is skss_lb (add --threads 1 for a single-threaded run)\n",
-                 impl.c_str());
-    std::exit(1);
-  }
+  if (impl != "skss_lb")
+    usage_error("unknown --host-impl '" + impl +
+                "': the host core's one dense engine is skss_lb (add "
+                "--threads 1 for a single-threaded run)");
   sat::Options opts;
-  opts.cpu_threads = static_cast<std::size_t>(args.get_int("threads"));
+  opts.cpu_threads = get_count(args, "threads", /*zero_ok=*/true);
   opts.storage = parse_storage(args.get("storage"));
   if (obs.metrics_on()) opts.metrics = &obs.registry;
   if (obs.trace_on()) opts.trace = &obs.trace;
@@ -144,12 +156,12 @@ std::optional<std::string> compute_on_host(
 std::optional<std::string> compute_on_simulator(
     const satutil::ArgParser& args, const std::vector<sat::Matrix<float>>& in,
     ObsRequest& obs, const std::string& shape) {
-  SAT_CHECK_MSG(parse_storage(args.get("storage")) == sat::Storage::kDense,
-                "--storage " << args.get("storage")
-                             << " needs --host-impl (CPU only)");
+  if (parse_storage(args.get("storage")) != sat::Storage::kDense)
+    usage_error("--storage " + args.get("storage") +
+                " needs --host-impl (CPU only)");
   satrepro::Options opts;
   opts.algorithm = parse_algorithm(args.get("algorithm"));
-  opts.params.tile_w = static_cast<std::size_t>(args.get_int("w"));
+  opts.params.tile_w = get_count(args, "w");
   gpusim::ProtocolChecker checker;
   if (args.get_flag("check-protocol")) opts.checker = &checker;
   if (obs.metrics_on()) opts.metrics = &obs.registry;
@@ -176,10 +188,9 @@ std::optional<std::string> compute_on_simulator(
 }
 
 int mode_compute(const satutil::ArgParser& args) {
-  const auto rows = static_cast<std::size_t>(args.get_int("rows"));
-  const auto cols = static_cast<std::size_t>(args.get_int("cols"));
-  const auto batch = static_cast<std::size_t>(args.get_int("batch"));
-  SAT_CHECK_MSG(batch > 0, "--batch must be at least 1");
+  const std::size_t rows = get_count(args, "rows");
+  const std::size_t cols = get_count(args, "cols");
+  const std::size_t batch = get_count(args, "batch");
   // --batch B runs B same-shape random images in one call: the host
   // skss_lb engine pipelines them through one claim counter, the simulated
   // device runs one batched kernel.
@@ -203,9 +214,9 @@ int mode_compute(const satutil::ArgParser& args) {
 }
 
 int mode_cell(const satutil::ArgParser& args) {
-  const auto n = static_cast<std::size_t>(args.get_int("n"));
+  const std::size_t n = get_count(args, "n");
   const auto algo = parse_algorithm(args.get("algorithm"));
-  const auto w = static_cast<std::size_t>(args.get_int("w"));
+  const std::size_t w = get_count(args, "w");
   ObsRequest obs(args);
   const auto cell = satmodel::run_cell(
       n, algo, w, /*materialize=*/false, /*seed=*/1,
@@ -225,8 +236,8 @@ int mode_cell(const satutil::ArgParser& args) {
 }
 
 int mode_tune(const satutil::ArgParser& args) {
-  const auto rows = static_cast<std::size_t>(args.get_int("rows"));
-  const auto cols = static_cast<std::size_t>(args.get_int("cols"));
+  const std::size_t rows = get_count(args, "rows");
+  const std::size_t cols = get_count(args, "cols");
   const auto opts = satrepro::auto_tune(rows, cols);
   std::printf("best for %zux%zu: %s with W=%zu\n", rows, cols,
               satalgo::name_of(opts.algorithm), opts.params.tile_w);
@@ -234,8 +245,8 @@ int mode_tune(const satutil::ArgParser& args) {
 }
 
 int mode_trace(const satutil::ArgParser& args) {
-  const auto n = static_cast<std::size_t>(args.get_int("n"));
-  const auto w = static_cast<std::size_t>(args.get_int("w"));
+  const std::size_t n = get_count(args, "n");
+  const std::size_t w = get_count(args, "w");
   gpusim::SimContext sim;
   sim.materialize = false;
   gpusim::GlobalBuffer<float> a(sim, n * n, "in"), b(sim, n * n, "out");
@@ -336,7 +347,8 @@ int main(int argc, char** argv) {
   if (!args.parse(argc, argv)) return 1;
 
   const std::string mode = args.get("mode");
-  // A bad flag value fails a SAT_CHECK inside the mode: a usage error.
+  // Flags the library refuses (a tile width the simulator cannot run, say)
+  // fail a SAT_CHECK inside the mode: still a usage error, not an abort.
   try {
     if (mode == "compute") return mode_compute(args);
     if (mode == "cell") return mode_cell(args);
