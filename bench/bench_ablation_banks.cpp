@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
       satalgo::SatParams p;
       p.tile_w = w;
       p.arrangement = arr;
-      const auto run = satalgo::run_algorithm(sim, algo, a, b, n, p);
+      const auto run = satalgo::run_algorithm(sim, algo, a, b, n, n, p);
       const auto c = run.totals();
       const double ms = satmodel::predict_run_ms(run, sim.cost);
       ms_by_arr[arr == gpusim::SharedArrangement::RowMajor] = ms;

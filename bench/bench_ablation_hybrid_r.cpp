@@ -34,8 +34,8 @@ int main(int argc, char** argv) {
       gpusim::GlobalBuffer<float> a(sim0, n * n, "in"), b(sim0, n * n, "out");
       satalgo::SatParams p;
       p.tile_w = w;
-      const auto pure =
-          satalgo::run_algorithm(sim0, satalgo::Algorithm::k1R1W, a, b, n, p);
+      const auto pure = satalgo::run_algorithm(
+          sim0, satalgo::Algorithm::k1R1W, a, b, n, n, p);
       row.push_back(satutil::format_sig(
           satmodel::predict_run_ms(pure, sim0.cost), 4));
     }
@@ -48,8 +48,8 @@ int main(int argc, char** argv) {
       satalgo::SatParams p;
       p.tile_w = w;
       p.hybrid_r = r;
-      const auto run =
-          satalgo::run_algorithm(sim, satalgo::Algorithm::kHybrid, a, b, n, p);
+      const auto run = satalgo::run_algorithm(
+          sim, satalgo::Algorithm::kHybrid, a, b, n, n, p);
       const double ms = satmodel::predict_run_ms(run, sim.cost);
       best = std::min(best, ms);
       row.push_back(satutil::format_sig(ms, 4));

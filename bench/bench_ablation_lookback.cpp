@@ -25,7 +25,7 @@ Row measure(satalgo::Algorithm algo, std::size_t n, std::size_t w) {
   gpusim::GlobalBuffer<float> a(sim, n * n, "in"), b(sim, n * n, "out");
   satalgo::SatParams p;
   p.tile_w = w;
-  const auto run = satalgo::run_algorithm(sim, algo, a, b, n, p);
+  const auto run = satalgo::run_algorithm(sim, algo, a, b, n, n, p);
   const auto& r = run.reports[0];
   Row row;
   row.grid = r.grid_blocks;

@@ -31,7 +31,7 @@ const char* run_once(std::size_t n, std::size_t w, gpusim::AssignmentOrder ord,
   p.skss_direct_assignment = direct;
   try {
     const auto run =
-        satalgo::run_algorithm(sim, satalgo::Algorithm::kSkssLb, a, b, n, p);
+        satalgo::run_algorithm(sim, satalgo::Algorithm::kSkssLb, a, b, n, n, p);
     *out_ms = satmodel::predict_run_ms(run, sim.cost);
     return "completes";
   } catch (const gpusim::DeadlockError&) {

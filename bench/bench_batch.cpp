@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "model/predict.hpp"
-#include "sat/algo_batch.hpp"
 #include "sat/registry.hpp"
 #include "util/argparse.hpp"
 #include "util/format.hpp"
@@ -32,12 +31,9 @@ int main(int argc, char** argv) {
     satalgo::SatParams p;
     p.tile_w = w;
     solo_ms = satmodel::predict_run_ms(
-        satalgo::run_algorithm(sim, satalgo::Algorithm::kSkssLb, a, b, n, p),
-        sim.cost);
+        satalgo::run_skss_lb(sim, a, b, n, n, p), sim.cost);
     dup_ms = satmodel::predict_run_ms(
-        satalgo::run_algorithm(sim, satalgo::Algorithm::kDuplicate, a, b, n,
-                               p),
-        sim.cost);
+        satalgo::run_duplicate(sim, a, b, n, n, p), sim.cost);
   }
 
   satutil::TextTable t({"batch B", "sequential (B launches)",
@@ -51,8 +47,7 @@ int main(int argc, char** argv) {
         b(sim, batch * n * n, "out");
     satalgo::SatParams p;
     p.tile_w = w;
-    const auto run =
-        satalgo::run_skss_lb_batch(sim, a, b, batch, n, n, p);
+    const auto run = satalgo::run_skss_lb_batch(sim, a, b, batch, n, n, p);
     const double batched_ms = satmodel::predict_run_ms(run, sim.cost);
     const double per_sat = batched_ms / double(batch);
     // The fair lower bound: duplicating the whole batch in one launch.

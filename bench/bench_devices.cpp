@@ -25,7 +25,7 @@ double run_ms(const gpusim::DeviceConfig& dev, satalgo::Algorithm algo,
   gpusim::GlobalBuffer<float> a(sim, n * n, "in"), b(sim, n * n, "out");
   satalgo::SatParams p;
   p.tile_w = w;
-  const auto run = satalgo::run_algorithm(sim, algo, a, b, n, p);
+  const auto run = satalgo::run_algorithm(sim, algo, a, b, n, n, p);
   return satmodel::predict_run_ms(run, sim.cost);
 }
 

@@ -29,11 +29,11 @@ int main(int argc, char** argv) {
     gpusim::GlobalBuffer<float> a(sim, n * n, "in"), b(sim, n * n, "out");
     satalgo::SatParams p;
     p.tile_w = 128;
-    const auto ls = satalgo::run_log_step(sim, a, b, n, p);
-    const auto lb =
-        satalgo::run_algorithm(sim, satalgo::Algorithm::kSkssLb, a, b, n, p);
+    const auto ls = satalgo::run_log_step(sim, a, b, n, n, p);
+    const auto lb = satalgo::run_algorithm(
+        sim, satalgo::Algorithm::kSkssLb, a, b, n, n, p);
     const auto naive =
-        satalgo::run_algorithm(sim, satalgo::Algorithm::k2R2W, a, b, n, p);
+        satalgo::run_algorithm(sim, satalgo::Algorithm::k2R2W, a, b, n, n, p);
     const double ls_ms = satmodel::predict_run_ms(ls, sim.cost);
     const double lb_ms = satmodel::predict_run_ms(lb, sim.cost);
     const double nv_ms = satmodel::predict_run_ms(naive, sim.cost);

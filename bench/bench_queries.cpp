@@ -43,9 +43,8 @@ int main(int argc, char** argv) {
   // SAT construction (1R1W-SKSS-LB, W=128) + O(1) queries.
   satalgo::SatParams p;
   p.tile_w = 128;
-  const auto build =
-      satalgo::run_algorithm(sim, satalgo::Algorithm::kSkssLb, input, table, n,
-                             p);
+  const auto build = satalgo::run_algorithm(
+      sim, satalgo::Algorithm::kSkssLb, input, table, n, n, p);
   const double build_ms = satmodel::predict_run_ms(build, sim.cost);
   gpusim::KernelReport sat_q, brute_q;
   (void)satalgo::run_query_kernel(sim, table, n, n, queries, &sat_q);

@@ -23,10 +23,10 @@ int main(int argc, char** argv) {
   sim.materialize = false;
   gpusim::GlobalBuffer<float> a(sim, n * n, "in"), b(sim, n * n, "out");
 
-  const auto dup =
-      satalgo::run_algorithm(sim, satalgo::Algorithm::kDuplicate, a, b, n, {});
+  const auto dup = satalgo::run_algorithm(
+      sim, satalgo::Algorithm::kDuplicate, a, b, n, n, {});
   const auto naive =
-      satalgo::run_algorithm(sim, satalgo::Algorithm::k2R2W, a, b, n, {});
+      satalgo::run_algorithm(sim, satalgo::Algorithm::k2R2W, a, b, n, n, {});
 
   satutil::TextTable t({"kernel", "issued sectors", "DRAM sectors",
                         "issued/DRAM", "modeled ms"});

@@ -37,7 +37,7 @@ void print_table(std::size_t n, std::size_t w, std::size_t m) {
     p.tile_w = w;
     p.threads_per_block =
         static_cast<int>(std::min<std::size_t>(1024, w * w));
-    const auto run = satalgo::run_algorithm(sim, algo, a, b, n, p);
+    const auto run = satalgo::run_algorithm(sim, algo, a, b, n, n, p);
     const auto theory = satalgo::theory_row(algo, n, w, m);
     const auto totals = run.totals();
 

@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
         satalgo::SatParams p;
         p.tile_w = w;
         p.threads_per_block = tpb;
-        const auto run = satalgo::run_algorithm(sim, algo, a, b, n, p);
+        const auto run = satalgo::run_algorithm(sim, algo, a, b, n, n, p);
         const double ms = satmodel::predict_run_ms(run, sim.cost);
         row.push_back(satutil::format_sig(ms, 4));
         if (ms < best[k]) {

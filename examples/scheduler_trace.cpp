@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
   p.record_trace = true;
   const auto run = satalgo::run_algorithm(
       sim, use_lb ? satalgo::Algorithm::kSkssLb : satalgo::Algorithm::kSkss, a,
-      b, n, p);
+      b, n, n, p);
   const auto& rep = run.reports[0];
 
   const satalgo::TileGrid grid(n, w);

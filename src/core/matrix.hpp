@@ -17,7 +17,7 @@ class Matrix {
   Matrix() = default;
 
   Matrix(std::size_t rows, std::size_t cols, T fill = T{})
-      : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
+      : rows_(rows), cols_(cols), data_(checked_size(rows, cols), fill) {}
 
   [[nodiscard]] std::size_t rows() const { return rows_; }
   [[nodiscard]] std::size_t cols() const { return cols_; }
@@ -58,6 +58,15 @@ class Matrix {
   }
 
  private:
+  /// rows·cols, refusing a shape no vector can hold: its element count
+  /// would wrap std::size_t, or its byte count the address space.
+  static std::size_t checked_size(std::size_t rows, std::size_t cols) {
+    SAT_CHECK_MSG(cols == 0 || rows <= std::vector<T>().max_size() / cols,
+                  "matrix " << rows << "x" << cols
+                            << " has more elements than memory can address");
+    return rows * cols;
+  }
+
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<T> data_;

@@ -314,7 +314,7 @@ class Scheduler final : public FlagPublishHook {
 }  // namespace
 
 KernelReport launch_kernel(SimContext& sim, const LaunchConfig& cfg,
-                           const KernelBody& body) {
+                           const KernelBody& body) try {
   SAT_CHECK_MSG(cfg.grid_blocks > 0, "kernel '" << cfg.name << "': empty grid");
   const std::size_t resident_limit = sim.device.resident_block_limit(
       cfg.threads_per_block, cfg.shared_bytes_per_block);
@@ -397,6 +397,13 @@ KernelReport launch_kernel(SimContext& sim, const LaunchConfig& cfg,
 
   sim.reports.push_back(report);
   return report;
+} catch (...) {
+  // A launch that throws (a protocol violation, a deadlock, a refused
+  // configuration) still closes the checker's launch, unverified, so what
+  // was registered for it cannot outlive the run and the checker serves the
+  // next launch.
+  if (sim.checker != nullptr) sim.checker->on_kernel_end(/*verify=*/false);
+  throw;
 }
 
 }  // namespace gpusim

@@ -42,19 +42,22 @@ void ProtocolChecker::on_kernel_begin(const std::string& name,
   in_kernel_ = true;
 }
 
-void ProtocolChecker::on_kernel_end() {
-  if (!in_kernel_) return;
-  if (opts_.check_state_machine) verify_state_machines();
-  if (opts_.check_schedule) verify_acyclic();
-  stats_.kernels_checked += 1;
-  in_kernel_ = false;
+void ProtocolChecker::on_kernel_end(bool verify) {
+  // Specs and serial registrations apply to exactly one launch. They are
+  // taken before any check can throw: a failed launch must leave nothing
+  // keyed by its status arrays, which its caller is about to destroy.
+  const std::unordered_map<const void*, Spec> specs = std::exchange(specs_, {});
+  registered_serials_.clear();
+  if (std::exchange(in_kernel_, false) && verify) {
+    if (opts_.check_state_machine) verify_state_machines(specs);
+    if (opts_.check_schedule) verify_acyclic();
+    stats_.kernels_checked += 1;
+  }
   // The kernel boundary is a device-wide barrier: every pre-existing access
   // is ordered before every access of the next launch, so all per-kernel
-  // race/graph state is discarded. Specs and serial registrations apply to
-  // exactly one launch.
+  // race/graph state is discarded (on_kernel_begin discards it too, for a
+  // launch whose check threw above).
   reset_kernel_state();
-  specs_.clear();
-  registered_serials_.clear();
 }
 
 void ProtocolChecker::on_tile_claim(BlockId block, std::size_t tile,
@@ -291,8 +294,9 @@ void ProtocolChecker::fail(const std::string& what) const {
   throw ProtocolError("[protocol] kernel '" + kernel_name_ + "': " + what);
 }
 
-void ProtocolChecker::verify_state_machines() {
-  for (const auto& [key, spec] : specs_) {
+void ProtocolChecker::verify_state_machines(
+    const std::unordered_map<const void*, Spec>& specs) {
+  for (const auto& [key, spec] : specs) {
     ArrState& a = arr_state(*spec.arr);
     for (std::size_t idx = 0; idx < spec.arr->size(); ++idx) {
       const std::uint8_t actual = spec.arr->cell(idx).value;

@@ -89,7 +89,11 @@ class ProtocolChecker {
 
   void on_kernel_begin(const std::string& name, std::size_t grid_blocks,
                        std::size_t resident_limit);
-  void on_kernel_end();
+  /// Closes the launch. Its registrations and per-launch state are dropped
+  /// before any kernel-end check can throw, so the checker is ready for the
+  /// next launch whatever ended this one. `verify` runs the kernel-end
+  /// checks (terminal states, acyclicity); a launch that threw skips them.
+  void on_kernel_end(bool verify = true);
 
   /// A block announced it owns a tile (after atomic self-assignment).
   void on_tile_claim(BlockId block, std::size_t tile, std::size_t serial);
@@ -158,7 +162,8 @@ class ProtocolChecker {
   VectorClock& clock_of(BlockId block);
   [[nodiscard]] std::string tile_label(std::size_t tile) const;
   [[noreturn]] void fail(const std::string& what) const;
-  void verify_state_machines();
+  void verify_state_machines(
+      const std::unordered_map<const void*, Spec>& specs);
   void verify_acyclic();
   void reset_kernel_state();
 

@@ -54,7 +54,7 @@ inline CellResult run_cell(std::size_t n, satalgo::Algorithm algo,
   p.seed = seed;
 
   const satalgo::RunResult run =
-      satalgo::run_algorithm(sim, algo, a, b, n, p);
+      satalgo::run_algorithm(sim, algo, a, b, n, n, p);
 
   CellResult cell;
   cell.algo = algo;

@@ -1,9 +1,7 @@
 #include "repro/repro.hpp"
 
-#include <algorithm>
 #include <span>
 
-#include "sat/algo_batch.hpp"
 #include "scan/row_scan.hpp"
 
 namespace satrepro {
@@ -19,12 +17,11 @@ gpusim::SimContext make_sim(const Options& opts) {
   return sim;
 }
 
-/// `x` rounded up to the tile width. The kernels run on tile-aligned
+/// `x` rounded up to the tile width `w`. The kernels run on tile-aligned
 /// matrices; zero-padding on the bottom/right does not change any SAT entry
 /// inside the original region, so results are simply cropped back. Every
 /// algorithm is rectangular-native, so each dimension pads independently.
-std::size_t tile_aligned(std::size_t x, const Options& opts) {
-  const std::size_t w = opts.params.tile_w;
+std::size_t tile_aligned(std::size_t x, std::size_t w) {
   SAT_CHECK_MSG(w > 0 && w % 32 == 0,
                 "tile width " << w << " must be a positive multiple of 32");
   return (x + w - 1) / w * w;
@@ -35,7 +32,8 @@ Stats stats_of(const satalgo::RunResult& run, std::size_t rows,
   const gpusim::Counters totals = run.totals();
   Stats s;
   s.algorithm = run.algorithm;
-  s.padded_n = std::max(rows, cols);
+  s.padded_rows = rows;
+  s.padded_cols = cols;
   s.kernel_calls = run.kernel_calls();
   s.max_threads = run.max_threads();
   s.element_reads = totals.element_reads;
@@ -55,8 +53,8 @@ Stats stats_of(const satalgo::RunResult& run, std::size_t rows,
 template <class T>
 Result<T> compute_sat(const sat::Matrix<T>& input, const Options& opts) {
   SAT_CHECK_MSG(!input.empty(), "input matrix is empty");
-  const std::size_t rows = tile_aligned(input.rows(), opts);
-  const std::size_t cols = tile_aligned(input.cols(), opts);
+  const std::size_t rows = tile_aligned(input.rows(), opts.params.tile_w);
+  const std::size_t cols = tile_aligned(input.cols(), opts.params.tile_w);
 
   gpusim::SimContext sim = make_sim(opts);
   gpusim::GlobalBuffer<T> a(sim, rows * cols, "input");
@@ -70,7 +68,7 @@ Result<T> compute_sat(const sat::Matrix<T>& input, const Options& opts) {
         padded(i, j) = input(i, j);
   }
 
-  const satalgo::RunResult run = satalgo::run_algorithm_rect(
+  const satalgo::RunResult run = satalgo::run_algorithm(
       sim, opts.algorithm, a, b, rows, cols, opts.params);
 
   Result<T> result;
@@ -93,8 +91,8 @@ BatchResult<T> compute_sat_batch(const std::vector<sat::Matrix<T>>& inputs,
     SAT_CHECK_MSG(m.rows() == in_rows && m.cols() == in_cols,
                   "batched matrices must share one shape");
   }
-  const std::size_t rows = tile_aligned(in_rows, opts);
-  const std::size_t cols = tile_aligned(in_cols, opts);
+  const std::size_t rows = tile_aligned(in_rows, opts.params.tile_w);
+  const std::size_t cols = tile_aligned(in_cols, opts.params.tile_w);
   const std::size_t batch = inputs.size();
 
   gpusim::SimContext sim = make_sim(opts);
@@ -151,16 +149,18 @@ Options auto_tune(std::size_t rows, std::size_t cols, const Options& base) {
        {satalgo::Algorithm::kSkssLb, satalgo::Algorithm::kSkss,
         satalgo::Algorithm::k2R1W}) {
     for (std::size_t w : {std::size_t{32}, std::size_t{64}, std::size_t{128}}) {
-      const std::size_t longest = std::max(rows, cols);
-      const std::size_t n = (longest + w - 1) / w * w;
+      // Price the shape compute_sat runs: each dimension padded on its own.
+      const std::size_t padded_rows = tile_aligned(rows, w);
+      const std::size_t padded_cols = tile_aligned(cols, w);
       gpusim::SimContext sim(base.device);
       sim.materialize = false;
-      gpusim::GlobalBuffer<float> a(sim, n * n, "tune.in");
-      gpusim::GlobalBuffer<float> b(sim, n * n, "tune.out");
+      gpusim::GlobalBuffer<float> a(sim, padded_rows * padded_cols, "tune.in");
+      gpusim::GlobalBuffer<float> b(sim, padded_rows * padded_cols, "tune.out");
       satalgo::SatParams p;
       p.tile_w = w;
       p.threads_per_block = base.params.threads_per_block;
-      const auto run = satalgo::run_algorithm(sim, algo, a, b, n, p);
+      const auto run = satalgo::run_algorithm(sim, algo, a, b, padded_rows,
+                                              padded_cols, p);
       double us = 0;
       for (const auto& r : run.reports)
         us += sim.cost.kernel_launch_us + r.critical_path_us;

@@ -53,12 +53,14 @@ struct Options {
 /// Statistics of a simulated run, summed over its kernel launches.
 struct Stats {
   std::string algorithm;
-  /// Side of the square, tile-aligned matrix the kernels actually ran on.
-  /// Equals the input side when it is already square and a multiple of the
-  /// tile width; otherwise the input was zero-padded (zero padding on the
+  /// Shape of the tile-aligned matrix the kernels actually ran on: each
+  /// input dimension rounded up to the tile width on its own. Equals the
+  /// input shape when both dimensions are already multiples of the tile
+  /// width; otherwise the input was zero-padded (zero padding on the
   /// bottom/right does not change any SAT entry in the original region) and
-  /// the traffic counters below refer to the padded size.
-  std::size_t padded_n = 0;
+  /// the traffic counters below refer to the padded shape.
+  std::size_t padded_rows = 0;
+  std::size_t padded_cols = 0;
   std::size_t kernel_calls = 0;
   std::size_t max_threads = 0;
   std::uint64_t element_reads = 0;
@@ -70,6 +72,8 @@ struct Stats {
   std::uint64_t flag_writes = 0;
   std::size_t max_lookback_depth = 0;
   double critical_path_us = 0.0;
+
+  bool operator==(const Stats&) const = default;
 };
 
 template <class T>

@@ -80,7 +80,7 @@ gpusim::BlockTask tile_1r1w_body(gpusim::BlockCtx& ctx, const TileGrid& grid,
 template <class T>
 RunResult run_1r1w(gpusim::SimContext& sim, gpusim::GlobalBuffer<T>& a,
                    gpusim::GlobalBuffer<T>& b, std::size_t rows,
-                   std::size_t cols, const SatParams& p) {
+                   std::size_t cols, const SatParams& p = {}) {
   const TileGrid grid(rows, cols, p.tile_w);
   SatAux<T> aux(sim, grid);
   const bool mat = sim.materialize;
@@ -109,13 +109,6 @@ RunResult run_1r1w(gpusim::SimContext& sim, gpusim::GlobalBuffer<T>& a,
   }
 
   return res;
-}
-
-template <class T>
-RunResult run_1r1w(gpusim::SimContext& sim, gpusim::GlobalBuffer<T>& a,
-                   gpusim::GlobalBuffer<T>& b, std::size_t n,
-                   const SatParams& p = {}) {
-  return run_1r1w(sim, a, b, n, n, p);
 }
 
 }  // namespace satalgo

@@ -86,7 +86,7 @@ gpusim::BlockTask tile_gsat_body(gpusim::BlockCtx& ctx, const TileGrid& grid,
 template <class T>
 RunResult run_2r1w(gpusim::SimContext& sim, gpusim::GlobalBuffer<T>& a,
                    gpusim::GlobalBuffer<T>& b, std::size_t rows,
-                   std::size_t cols, const SatParams& p) {
+                   std::size_t cols, const SatParams& p = {}) {
   const TileGrid grid(rows, cols, p.tile_w);
   const std::size_t w = grid.tile_w();
   const std::size_t gr = grid.g_rows();
@@ -212,13 +212,6 @@ RunResult run_2r1w(gpusim::SimContext& sim, gpusim::GlobalBuffer<T>& a,
   }
 
   return res;
-}
-
-template <class T>
-RunResult run_2r1w(gpusim::SimContext& sim, gpusim::GlobalBuffer<T>& a,
-                   gpusim::GlobalBuffer<T>& b, std::size_t n,
-                   const SatParams& p = {}) {
-  return run_2r1w(sim, a, b, n, n, p);
 }
 
 }  // namespace satalgo

@@ -20,7 +20,7 @@ namespace satalgo {
 template <class T>
 RunResult run_2r2w(gpusim::SimContext& sim, gpusim::GlobalBuffer<T>& a,
                    gpusim::GlobalBuffer<T>& b, std::size_t rows,
-                   std::size_t cols, const SatParams& p) {
+                   std::size_t cols, const SatParams& p = {}) {
   const bool mat = sim.materialize;
   const int col_threads = static_cast<int>(
       std::min<std::size_t>(p.naive_threads_per_block, cols));
@@ -103,13 +103,6 @@ RunResult run_2r2w(gpusim::SimContext& sim, gpusim::GlobalBuffer<T>& a,
   }
 
   return res;
-}
-
-template <class T>
-RunResult run_2r2w(gpusim::SimContext& sim, gpusim::GlobalBuffer<T>& a,
-                   gpusim::GlobalBuffer<T>& b, std::size_t n,
-                   const SatParams& p = {}) {
-  return run_2r2w(sim, a, b, n, n, p);
 }
 
 }  // namespace satalgo

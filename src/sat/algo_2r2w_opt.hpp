@@ -17,7 +17,7 @@ namespace satalgo {
 template <class T>
 RunResult run_2r2w_optimal(gpusim::SimContext& sim, gpusim::GlobalBuffer<T>& a,
                            gpusim::GlobalBuffer<T>& b, std::size_t rows,
-                           std::size_t cols, const SatParams& p) {
+                           std::size_t cols, const SatParams& p = {}) {
   RunResult res;
   res.algorithm = "2R2W-optimal";
   res.reports.push_back(
@@ -25,13 +25,6 @@ RunResult run_2r2w_optimal(gpusim::SimContext& sim, gpusim::GlobalBuffer<T>& a,
   res.reports.push_back(
       satscan::row_wise_inclusive_scan(sim, b, b, rows, cols, p.row_scan));
   return res;
-}
-
-template <class T>
-RunResult run_2r2w_optimal(gpusim::SimContext& sim, gpusim::GlobalBuffer<T>& a,
-                           gpusim::GlobalBuffer<T>& b, std::size_t n,
-                           const SatParams& p = {}) {
-  return run_2r2w_optimal(sim, a, b, n, n, p);
 }
 
 }  // namespace satalgo

@@ -17,7 +17,7 @@ namespace satalgo {
 template <class T>
 RunResult run_duplicate(gpusim::SimContext& sim, gpusim::GlobalBuffer<T>& a,
                         gpusim::GlobalBuffer<T>& b, std::size_t rows,
-                        std::size_t cols, const SatParams& p) {
+                        std::size_t cols, const SatParams& p = {}) {
   const std::size_t total = rows * cols;
   const std::size_t chunk =
       static_cast<std::size_t>(p.naive_threads_per_block) * 4;
@@ -46,13 +46,6 @@ RunResult run_duplicate(gpusim::SimContext& sim, gpusim::GlobalBuffer<T>& a,
   res.algorithm = "duplicate";
   res.reports.push_back(gpusim::launch_kernel(sim, cfg, body));
   return res;
-}
-
-template <class T>
-RunResult run_duplicate(gpusim::SimContext& sim, gpusim::GlobalBuffer<T>& a,
-                        gpusim::GlobalBuffer<T>& b, std::size_t n,
-                        const SatParams& p = {}) {
-  return run_duplicate(sim, a, b, n, n, p);
 }
 
 }  // namespace satalgo

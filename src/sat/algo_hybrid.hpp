@@ -27,7 +27,7 @@ namespace satalgo {
 template <class T>
 RunResult run_hybrid(gpusim::SimContext& sim, gpusim::GlobalBuffer<T>& a,
                      gpusim::GlobalBuffer<T>& b, std::size_t rows,
-                     std::size_t cols, const SatParams& p) {
+                     std::size_t cols, const SatParams& p = {}) {
   const TileGrid grid(rows, cols, p.tile_w);
   const std::size_t gr = grid.g_rows();
   const std::size_t gc = grid.g_cols();
@@ -248,13 +248,6 @@ RunResult run_hybrid(gpusim::SimContext& sim, gpusim::GlobalBuffer<T>& a,
   }
 
   return res;
-}
-
-template <class T>
-RunResult run_hybrid(gpusim::SimContext& sim, gpusim::GlobalBuffer<T>& a,
-                     gpusim::GlobalBuffer<T>& b, std::size_t n,
-                     const SatParams& p = {}) {
-  return run_hybrid(sim, a, b, n, n, p);
 }
 
 }  // namespace satalgo

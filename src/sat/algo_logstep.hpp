@@ -130,11 +130,4 @@ RunResult run_log_step(gpusim::SimContext& sim, gpusim::GlobalBuffer<T>& a,
   return res;
 }
 
-template <class T>
-RunResult run_log_step(gpusim::SimContext& sim, gpusim::GlobalBuffer<T>& a,
-                       gpusim::GlobalBuffer<T>& b, std::size_t n,
-                       const SatParams& p = {}) {
-  return run_log_step(sim, a, b, n, n, p);
-}
-
 }  // namespace satalgo

@@ -25,7 +25,7 @@ namespace satalgo {
 template <class T>
 RunResult run_skss(gpusim::SimContext& sim, gpusim::GlobalBuffer<T>& a,
                    gpusim::GlobalBuffer<T>& b, std::size_t rows,
-                   std::size_t cols, const SatParams& p) {
+                   std::size_t cols, const SatParams& p = {}) {
   const TileGrid grid(rows, cols, p.tile_w);
   const std::size_t gr = grid.g_rows();
   const std::size_t gc = grid.g_cols();
@@ -35,7 +35,7 @@ RunResult run_skss(gpusim::SimContext& sim, gpusim::GlobalBuffer<T>& a,
   const bool mat = sim.materialize;
 
   if (sim.checker != nullptr) {
-    sim.checker->register_tile_serials(tile_serial_map(grid));
+    sim.checker->register_tile_serials(batch_serial_map(grid, 1));
     expect_skss_protocol(*sim.checker, aux.r_status);
   }
 
@@ -121,13 +121,6 @@ RunResult run_skss(gpusim::SimContext& sim, gpusim::GlobalBuffer<T>& a,
   res.algorithm = "1R1W-SKSS";
   res.reports.push_back(gpusim::launch_kernel(sim, cfg, body));
   return res;
-}
-
-template <class T>
-RunResult run_skss(gpusim::SimContext& sim, gpusim::GlobalBuffer<T>& a,
-                   gpusim::GlobalBuffer<T>& b, std::size_t n,
-                   const SatParams& p = {}) {
-  return run_skss(sim, a, b, n, n, p);
 }
 
 }  // namespace satalgo

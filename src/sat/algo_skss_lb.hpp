@@ -22,6 +22,14 @@
 //
 // Reads n² + O(n²/W), writes n² + O(n²/W), one kernel, n²/m threads — every
 // column of Table I at its best value simultaneously.
+//
+// Batching (§V's small-matrix underutilization: a 256² input with 128²
+// tiles offers the 80-SM device 4 blocks): the same kernel covers the tiles
+// of B equally-shaped images in one launch. Global serials are image-major
+// (image k's tiles keep their in-image diagonal-major order, offset by
+// k·tiles-per-image) and every look-back stays within its image, so the
+// deadlock-freedom argument carries over verbatim. A single image is the
+// batch of one.
 #pragma once
 
 #include <string>
@@ -36,50 +44,68 @@
 
 namespace satalgo {
 
+/// Computes the SATs of `batch` images of `rows`×`cols` each, stored
+/// contiguously in `a` (image k at element offset k·rows·cols), into `b`
+/// with the same layout. One kernel launch total.
 template <class T>
-RunResult run_skss_lb(gpusim::SimContext& sim, gpusim::GlobalBuffer<T>& a,
-                      gpusim::GlobalBuffer<T>& b, std::size_t rows,
-                      std::size_t cols, const SatParams& p) {
+RunResult run_skss_lb_batch(gpusim::SimContext& sim,
+                            gpusim::GlobalBuffer<T>& a,
+                            gpusim::GlobalBuffer<T>& b, std::size_t batch,
+                            std::size_t rows, std::size_t cols,
+                            const SatParams& p = {}) {
+  SAT_CHECK(batch >= 1);
+  SAT_CHECK(a.size() >= batch * rows * cols && b.size() >= batch * rows * cols);
   const TileGrid grid(rows, cols, p.tile_w);
   const std::size_t w = grid.tile_w();
-  SatAux<T> aux(sim, grid);
+  const std::size_t per_image = grid.count();
+  const std::size_t tiles = batch * per_image;
+  SatAux<T> aux(sim, grid, batch);
   gpusim::GlobalAtomicU32 work_counter;
   const bool mat = sim.materialize;
 
   if (sim.checker != nullptr) {
-    sim.checker->register_tile_serials(tile_serial_map(grid));
+    sim.checker->register_tile_serials(batch_serial_map(grid, batch));
     expect_skss_lb_protocol(*sim.checker, aux.r_status, aux.c_status);
   }
 
   gpusim::LaunchConfig cfg;
-  cfg.name = "skss_lb(" + std::to_string(rows) + "x" + std::to_string(cols) +
+  cfg.name = (batch == 1 ? "skss_lb("
+                         : "skss_lb_batch(" + std::to_string(batch) + "x") +
+             std::to_string(rows) + "x" + std::to_string(cols) +
              ",W=" + std::to_string(w) + ")";
-  cfg.grid_blocks = grid.count();
+  cfg.grid_blocks = tiles;
   cfg.threads_per_block = p.threads_per_block;
   cfg.shared_bytes_per_block = w * w * sizeof(T);
   cfg.order = p.order;
   cfg.record_trace = p.record_trace;
   cfg.seed = p.seed;
 
-  auto body = [&, w, mat](gpusim::BlockCtx& ctx,
-                          std::size_t /*block*/) -> gpusim::BlockTask {
+  auto body = [&, w, per_image, tiles, mat](
+                  gpusim::BlockCtx& ctx,
+                  std::size_t /*block*/) -> gpusim::BlockTask {
     // Self-assignment: the atomic grab hands tiles out in *dispatch* order,
     // decoupling the work order from blockIdx. The direct-assignment
     // ablation (tile = blockIdx) deadlocks under adversarial dispatch.
     const std::size_t serial = p.skss_direct_assignment
                                    ? ctx.block_id()
                                    : ctx.atomic_fetch_add(work_counter);
-    if (serial >= grid.count()) co_return;
-    const auto [ti, tj] = grid.tile_of_serial(serial);
-    const std::size_t base = aux.vec_base(grid, ti, tj);
-    const std::size_t self = grid.idx(ti, tj);
+    if (serial >= tiles) co_return;
+    const std::size_t img = serial / per_image;
+    const auto [ti, tj] = grid.tile_of_serial(serial % per_image);
+    // Aux and flag index of this image's tile (I,J): image-major.
+    auto cell = [&](std::size_t i, std::size_t j) {
+      return img * per_image + grid.idx(i, j);
+    };
+    const std::size_t self = cell(ti, tj);
+    const std::size_t base = self * w;
+    const std::size_t image_offset = img * rows * cols;
     ctx.note_tile(self, serial);
     const bool faulty =
         p.inject != FaultInjection::kNone && serial == p.inject_serial;
 
     // Step 1: load tile; LCS folds into the copy, LRS from shared.
     gpusim::SharedTile<T> tile(w, p.arrangement, mat);
-    load_tile(ctx, a, grid, ti, tj, tile);
+    load_tile(ctx, a, grid, ti, tj, tile, image_offset);
     ctx.sync();
     std::vector<T> lcs = col_sums_shared(ctx, tile);
     std::vector<T> lrs = row_sums_shared(ctx, tile);
@@ -102,7 +128,7 @@ RunResult run_skss_lb(gpusim::SimContext& sim, gpusim::GlobalBuffer<T>& a,
         tj + 1 < grid.g_cols()) {
       // Seeded σ-increasing edge: wait on the *right* neighbour, whose
       // serial is larger — forbidden by the §IV deadlock-freedom argument.
-      co_await ctx.wait_flag_at_least(aux.r_status, grid.idx(ti, tj + 1),
+      co_await ctx.wait_flag_at_least(aux.r_status, cell(ti, tj + 1),
                                       rflag::kLrs);
     }
 
@@ -112,19 +138,17 @@ RunResult run_skss_lb(gpusim::SimContext& sim, gpusim::GlobalBuffer<T>& a,
       ctx.lookback_begin();
       std::size_t depth = 0;
       for (std::size_t back = tj; back-- > 0;) {
-        const std::size_t pred = grid.idx(ti, back);
+        const std::size_t pred = cell(ti, back);
         const std::uint8_t s =
             co_await ctx.wait_flag_at_least(aux.r_status, pred, rflag::kLrs);
         ++depth;
         if (s >= rflag::kGrs) {
-          accumulate_aux_vector(ctx, aux.grs, aux.vec_base(grid, ti, back), w,
-                                grs_left);
+          accumulate_aux_vector(ctx, aux.grs, pred * w, w, grs_left);
           break;
         }
         // R = 1: only the local sums exist; add them and keep walking.
         // At column 0, LRS(I,0) == GRS(I,0), so the walk always terminates.
-        accumulate_aux_vector(ctx, aux.lrs, aux.vec_base(grid, ti, back), w,
-                              grs_left);
+        accumulate_aux_vector(ctx, aux.lrs, pred * w, w, grs_left);
       }
       ctx.note_lookback_depth(depth);
     }
@@ -140,17 +164,15 @@ RunResult run_skss_lb(gpusim::SimContext& sim, gpusim::GlobalBuffer<T>& a,
       ctx.lookback_begin();
       std::size_t depth = 0;
       for (std::size_t back = ti; back-- > 0;) {
-        const std::size_t pred = grid.idx(back, tj);
+        const std::size_t pred = cell(back, tj);
         const std::uint8_t s =
             co_await ctx.wait_flag_at_least(aux.c_status, pred, cflag::kLcs);
         ++depth;
         if (s >= cflag::kGcs) {
-          accumulate_aux_vector(ctx, aux.gcs, aux.vec_base(grid, back, tj), w,
-                                gcs_up);
+          accumulate_aux_vector(ctx, aux.gcs, pred * w, w, gcs_up);
           break;
         }
-        accumulate_aux_vector(ctx, aux.lcs, aux.vec_base(grid, back, tj), w,
-                              gcs_up);
+        accumulate_aux_vector(ctx, aux.lcs, pred * w, w, gcs_up);
       }
       ctx.note_lookback_depth(depth);
     }
@@ -173,7 +195,7 @@ RunResult run_skss_lb(gpusim::SimContext& sim, gpusim::GlobalBuffer<T>& a,
       const std::size_t kmax = std::min(ti, tj);
       std::size_t depth = 0;
       for (std::size_t k = 1; k <= kmax; ++k) {
-        const std::size_t pred = grid.idx(ti - k, tj - k);
+        const std::size_t pred = cell(ti - k, tj - k);
         const std::uint8_t s =
             co_await ctx.wait_flag_at_least(aux.r_status, pred, rflag::kGls);
         ++depth;
@@ -208,21 +230,22 @@ RunResult run_skss_lb(gpusim::SimContext& sim, gpusim::GlobalBuffer<T>& a,
     if (ti > 0 && tj > 0) add_to_corner(ctx, tile, gs_corner);
     ctx.sync();
     sat_in_shared(ctx, tile);
-    store_tile(ctx, tile, b, grid, ti, tj);
+    store_tile(ctx, tile, b, grid, ti, tj, image_offset);
     co_return;
   };
 
   RunResult res;
-  res.algorithm = "1R1W-SKSS-LB";
+  res.algorithm = batch == 1 ? "1R1W-SKSS-LB" : "1R1W-SKSS-LB (batched)";
   res.reports.push_back(gpusim::launch_kernel(sim, cfg, body));
   return res;
 }
 
+/// The SAT of one `rows`×`cols` image: the batch of one.
 template <class T>
 RunResult run_skss_lb(gpusim::SimContext& sim, gpusim::GlobalBuffer<T>& a,
-                      gpusim::GlobalBuffer<T>& b, std::size_t n,
-                      const SatParams& p = {}) {
-  return run_skss_lb(sim, a, b, n, n, p);
+                      gpusim::GlobalBuffer<T>& b, std::size_t rows,
+                      std::size_t cols, const SatParams& p = {}) {
+  return run_skss_lb_batch(sim, a, b, 1, rows, cols, p);
 }
 
 }  // namespace satalgo

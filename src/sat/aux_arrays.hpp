@@ -27,19 +27,20 @@ inline constexpr std::uint8_t kGcs = 2;  ///< GCS(I,J) published
 /// Allocates the aux arrays a tile algorithm needs. Individual algorithms
 /// use subsets; allocating the full set keeps indexing uniform (the unused
 /// buffers cost O(n²/W) global memory, within the paper's own budget).
+/// A batched launch sizes every array for `images` grids, image-major.
 template <class T>
 struct SatAux {
-  SatAux(gpusim::SimContext& sim, const TileGrid& grid)
+  SatAux(gpusim::SimContext& sim, const TileGrid& grid, std::size_t images = 1)
       : w(grid.tile_w()),
-        lrs(sim, grid.count() * w, "aux.LRS"),
-        grs(sim, grid.count() * w, "aux.GRS"),
-        lcs(sim, grid.count() * w, "aux.LCS"),
-        gcs(sim, grid.count() * w, "aux.GCS"),
-        ls(sim, grid.count(), "aux.LS"),
-        gls(sim, grid.count(), "aux.GLS"),
-        gs(sim, grid.count(), "aux.GS"),
-        r_status("R", grid.count()),
-        c_status("C", grid.count()) {}
+        lrs(sim, images * grid.count() * w, "aux.LRS"),
+        grs(sim, images * grid.count() * w, "aux.GRS"),
+        lcs(sim, images * grid.count() * w, "aux.LCS"),
+        gcs(sim, images * grid.count() * w, "aux.GCS"),
+        ls(sim, images * grid.count(), "aux.LS"),
+        gls(sim, images * grid.count(), "aux.GLS"),
+        gs(sim, images * grid.count(), "aux.GS"),
+        r_status("R", images * grid.count()),
+        c_status("C", images * grid.count()) {}
 
   /// Base offset of tile (I,J)'s W-vector in lrs/grs/lcs/gcs.
   [[nodiscard]] std::size_t vec_base(const TileGrid& grid, std::size_t ti,

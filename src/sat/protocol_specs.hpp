@@ -16,25 +16,19 @@
 
 namespace satalgo {
 
-/// serial_of_tile[idx(I,J)] = σ(I,J) for one image's tile grid.
-inline std::vector<std::size_t> tile_serial_map(const TileGrid& grid) {
-  std::vector<std::size_t> serials(grid.count());
-  for (std::size_t ti = 0; ti < grid.g_rows(); ++ti)
-    for (std::size_t tj = 0; tj < grid.g_cols(); ++tj)
-      serials[grid.idx(ti, tj)] = grid.serial(ti, tj);
-  return serials;
-}
-
-/// Image-major serial map for the batched kernel: image k's tiles keep
-/// their in-image diagonal-major order, offset by k·per_image.
+/// serial_of_tile[k·per_image + idx(I,J)] = k·per_image + σ(I,J) for a
+/// batch of `batch` images: image k's tiles keep their in-image
+/// diagonal-major order, offset by k·per_image. A batch of one is the
+/// single image's map.
 inline std::vector<std::size_t> batch_serial_map(const TileGrid& grid,
                                                  std::size_t batch) {
-  const std::vector<std::size_t> one = tile_serial_map(grid);
   const std::size_t per_image = grid.count();
   std::vector<std::size_t> serials(batch * per_image);
   for (std::size_t k = 0; k < batch; ++k)
-    for (std::size_t t = 0; t < per_image; ++t)
-      serials[k * per_image + t] = k * per_image + one[t];
+    for (std::size_t ti = 0; ti < grid.g_rows(); ++ti)
+      for (std::size_t tj = 0; tj < grid.g_cols(); ++tj)
+        serials[k * per_image + grid.idx(ti, tj)] =
+            k * per_image + grid.serial(ti, tj);
   return serials;
 }
 

@@ -133,42 +133,14 @@ struct TheoryRow {
   return row;
 }
 
-/// True when the algorithm has a native rectangular (rows ≠ cols)
-/// implementation — since the rectangular generalization of the tile grid
-/// (TileGrid, diagonal-major serials over gr×gc) every algorithm does; the
-/// predicate is kept for API stability and documentation.
-[[nodiscard]] inline bool supports_rectangular(Algorithm) { return true; }
-
-/// Uniform dispatch: runs `algo` computing the SAT of `a` into `b`.
+/// Uniform dispatch: runs `algo` computing the SAT of the rows×cols matrix
+/// `a` into `b`. Tiled algorithms need both dimensions to be multiples of
+/// the tile width.
 template <class T>
 RunResult run_algorithm(gpusim::SimContext& sim, Algorithm algo,
                         gpusim::GlobalBuffer<T>& a, gpusim::GlobalBuffer<T>& b,
-                        std::size_t n, const SatParams& p = {}) {
-  SAT_CHECK_MSG(n > 0, name_of(algo) << " needs a non-empty matrix");
-  switch (algo) {
-    case Algorithm::kDuplicate: return run_duplicate(sim, a, b, n, p);
-    case Algorithm::k2R2W: return run_2r2w(sim, a, b, n, p);
-    case Algorithm::k2R2WOptimal: return run_2r2w_optimal(sim, a, b, n, p);
-    case Algorithm::k2R1W: return run_2r1w(sim, a, b, n, p);
-    case Algorithm::k1R1W: return run_1r1w(sim, a, b, n, p);
-    case Algorithm::kHybrid: return run_hybrid(sim, a, b, n, p);
-    case Algorithm::kSkss: return run_skss(sim, a, b, n, p);
-    case Algorithm::kSkssLb: return run_skss_lb(sim, a, b, n, p);
-  }
-  SAT_CHECK_MSG(false, "unknown algorithm");
-  return {};
-}
-
-/// Rectangular dispatch for the algorithms with native rows×cols support
-/// (see supports_rectangular). Tiled algorithms need both dimensions to be
-/// multiples of the tile width.
-template <class T>
-RunResult run_algorithm_rect(gpusim::SimContext& sim, Algorithm algo,
-                             gpusim::GlobalBuffer<T>& a,
-                             gpusim::GlobalBuffer<T>& b, std::size_t rows,
-                             std::size_t cols, const SatParams& p = {}) {
-  SAT_CHECK_MSG(supports_rectangular(algo),
-                name_of(algo) << " has no native rectangular implementation");
+                        std::size_t rows, std::size_t cols,
+                        const SatParams& p = {}) {
   SAT_CHECK_MSG(rows > 0 && cols > 0,
                 name_of(algo) << " needs a non-empty matrix, got " << rows
                               << "x" << cols);

@@ -47,34 +47,36 @@ void charge_tile_scan(gpusim::BlockCtx& ctx, const gpusim::SharedTile<T>& tile,
 // Global ↔ shared tile movement
 // ---------------------------------------------------------------------------
 
-/// §II Step 1: copies tile T(I,J) of the n×n matrix `src` into shared
-/// memory. Each tile row is a contiguous W-element segment (coalesced).
+/// §II Step 1: copies tile T(I,J) of the rows×cols matrix that starts at
+/// element `offset` of `src` (a batch's image k) into shared memory. Each
+/// tile row is a contiguous W-element segment (coalesced).
 template <class T>
 void load_tile(gpusim::BlockCtx& ctx, const gpusim::GlobalBuffer<T>& src,
                const TileGrid& grid, std::size_t ti, std::size_t tj,
-               gpusim::SharedTile<T>& tile) {
+               gpusim::SharedTile<T>& tile, std::size_t offset = 0) {
   const std::size_t w = grid.tile_w();
   const std::size_t stride = grid.cols();
   ctx.read_contiguous_rows(w, w, sizeof(T));
   charge_tile_shared_pass(ctx, w, 1);
   if (tile.materialized()) {
-    const T* base = src.data() + (ti * w) * stride + tj * w;
+    const T* base = src.data() + offset + (ti * w) * stride + tj * w;
     for (std::size_t i = 0; i < w; ++i)
       for (std::size_t j = 0; j < w; ++j) tile.at(i, j) = base[i * stride + j];
   }
 }
 
-/// §II Step 4: writes the shared tile back to tile T(I,J) of `dst`.
+/// §II Step 4: writes the shared tile back to tile T(I,J) of the matrix
+/// that starts at element `offset` of `dst`.
 template <class T>
 void store_tile(gpusim::BlockCtx& ctx, const gpusim::SharedTile<T>& tile,
                 gpusim::GlobalBuffer<T>& dst, const TileGrid& grid,
-                std::size_t ti, std::size_t tj) {
+                std::size_t ti, std::size_t tj, std::size_t offset = 0) {
   const std::size_t w = grid.tile_w();
   const std::size_t stride = grid.cols();
   ctx.write_contiguous_rows(w, w, sizeof(T));
   charge_tile_shared_pass(ctx, w, 1);
   if (tile.materialized()) {
-    T* base = dst.data() + (ti * w) * stride + tj * w;
+    T* base = dst.data() + offset + (ti * w) * stride + tj * w;
     for (std::size_t i = 0; i < w; ++i)
       for (std::size_t j = 0; j < w; ++j) base[i * stride + j] = tile.at(i, j);
   }

@@ -8,8 +8,8 @@
 //
 // The paper evaluates square matrices only; the rectangular generalization
 // keeps the same ordering property (serials sort primarily by anti-diagonal
-// I+J) and is what the public API uses for non-square inputs on the
-// algorithms that support it.
+// I+J). Every simulated algorithm takes rows×cols, and the public API pads
+// each dimension of a non-square input to the tile width on its own.
 #pragma once
 
 #include <cstddef>

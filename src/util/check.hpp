@@ -8,13 +8,25 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace satutil {
 
-/// Thrown when a SAT_CHECK fails; carries the failing expression and context.
+/// Thrown when a SAT_CHECK fails. what() carries the failing expression,
+/// its source location and the message; message() is the message alone,
+/// for a caller that reports the refusal to a user.
 class CheckError : public std::logic_error {
  public:
-  explicit CheckError(const std::string& what) : std::logic_error(what) {}
+  explicit CheckError(const std::string& what, std::string message = {})
+      : std::logic_error(what), message_(std::move(message)) {}
+
+  /// SAT_CHECK_MSG's message; what() for a bare SAT_CHECK, which has none.
+  [[nodiscard]] std::string message() const {
+    return message_.empty() ? what() : message_;
+  }
+
+ private:
+  std::string message_;
 };
 
 [[noreturn]] inline void check_failed(const char* expr, const char* file,
@@ -22,7 +34,7 @@ class CheckError : public std::logic_error {
   std::ostringstream os;
   os << "check failed: " << expr << " at " << file << ':' << line;
   if (!msg.empty()) os << " — " << msg;
-  throw CheckError(os.str());
+  throw CheckError(os.str(), msg);
 }
 
 }  // namespace satutil

@@ -164,7 +164,9 @@ TEST(Api, NonSquareShapesArePaddedInternally) {
   const auto result = satrepro::compute_sat(input, opts);
   EXPECT_EQ(result.table.rows(), 64u);
   EXPECT_EQ(result.table.cols(), 200u);
-  EXPECT_EQ(result.stats.padded_n, 256u);  // ceil(200/64)*64
+  // Each dimension pads on its own: 64×256, not a 256² square.
+  EXPECT_EQ(result.stats.padded_rows, 64u);
+  EXPECT_EQ(result.stats.padded_cols, 256u);  // ceil(200/64)*64
   EXPECT_FALSE(sat::validate_sat(input, result.table).has_value());
 }
 
@@ -173,7 +175,8 @@ TEST(Api, NonTileMultipleIsPaddedInternally) {
   satrepro::Options opts;
   opts.params.tile_w = 64;
   const auto result = satrepro::compute_sat(input, opts);
-  EXPECT_EQ(result.stats.padded_n, 128u);
+  EXPECT_EQ(result.stats.padded_rows, 128u);
+  EXPECT_EQ(result.stats.padded_cols, 128u);
   EXPECT_FALSE(sat::validate_sat(input, result.table).has_value());
 }
 
@@ -213,6 +216,26 @@ TEST(Api, AutoTunePicksAReasonableConfig) {
   const auto result =
       satrepro::compute_sat(input, satrepro::auto_tune(512, 512));
   EXPECT_FALSE(sat::validate_sat(input, result.table).has_value());
+}
+
+TEST(Api, AutoTunePricesTheShapeItRuns) {
+  // compute_sat runs 64×4096 at W = 64 on 64×4096 itself. Priced on a
+  // 4096² square instead, the model would pick 1R1W-SKSS-LB at W = 128,
+  // which then runs on 128×4096 at about 2.5× the winner's modeled time.
+  const auto opts = satrepro::auto_tune(64, 4096);
+  EXPECT_EQ(opts.algorithm, satalgo::Algorithm::k2R1W)
+      << satalgo::name_of(opts.algorithm);
+  EXPECT_EQ(opts.params.tile_w, 64u);
+}
+
+TEST(Api, MatrixRefusesShapesThatWrap) {
+  // 2^63 × 2 elements wrap std::size_t to 0: the matrix would claim 2^63
+  // rows and own no storage.
+  EXPECT_THROW((void)Matrix<float>(std::size_t{1} << 63, 2),
+               satutil::CheckError);
+  EXPECT_THROW(
+      (void)Matrix<float>(std::size_t{1} << 32, std::size_t{1} << 32),
+      satutil::CheckError);
 }
 
 TEST(Api, RejectsEmpty) {

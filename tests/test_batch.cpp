@@ -7,7 +7,7 @@
 #include "host/sat_cpu.hpp"
 #include "host/sat_skss_lb.hpp"
 #include "repro/repro.hpp"
-#include "sat/algo_batch.hpp"
+#include "sat/algo_skss_lb.hpp"
 
 namespace {
 
@@ -36,6 +36,11 @@ TEST(Batch, SingleImageBatchEqualsPlainComputeSat) {
       std::vector<Matrix<std::int32_t>>{input}, opts);
   const auto single = satrepro::compute_sat(input, opts);
   EXPECT_EQ(batch.tables[0], single.table);
+  // One kernel: the batch of one reports what compute_sat reports, its
+  // look-back depth and its label included.
+  EXPECT_EQ(batch.stats.max_lookback_depth, single.stats.max_lookback_depth);
+  EXPECT_EQ(batch.stats.algorithm, single.stats.algorithm);
+  EXPECT_TRUE(batch.stats == single.stats);
 }
 
 TEST(Batch, RectangularImagesWithPadding) {
@@ -169,7 +174,7 @@ TEST(Batch, CriticalPathBeatsSequentialLaunches) {
     satalgo::SatParams p;
     p.tile_w = w;
     const auto run =
-        satalgo::run_algorithm(sim, satalgo::Algorithm::kSkssLb, a, b, n, p);
+        satalgo::run_algorithm(sim, satalgo::Algorithm::kSkssLb, a, b, n, n, p);
     solo_us = run.sum_critical_path_us() * double(batch);
   }
   {

@@ -27,7 +27,7 @@ class CounterLaws : public ::testing::TestWithParam<CounterCase> {
         b(sim, c.n * c.n, "out");
     SatParams p;
     p.tile_w = c.w;
-    return satalgo::run_algorithm(sim, c.algo, a, b, c.n, p);
+    return satalgo::run_algorithm(sim, c.algo, a, b, c.n, c.n, p);
   }
 };
 
@@ -263,7 +263,7 @@ TEST_P(CountOnlyConservation, CountOnlyCountersMatchMaterializedBitExactly) {
         b(sim, c.n * c.n, "out");
     SatParams p;
     p.tile_w = c.w;
-    const auto run = satalgo::run_algorithm(sim, c.algo, a, b, c.n, p);
+    const auto run = satalgo::run_algorithm(sim, c.algo, a, b, c.n, c.n, p);
     totals[mode] = run.totals();
     model_us[mode] = 0.0;
     for (const auto& rep : run.reports) model_us[mode] += rep.critical_path_us;
@@ -296,8 +296,8 @@ TEST(CounterLawsSpecial, DuplicationIsExactlyOneReadOneWrite) {
   sim.materialize = false;
   const std::size_t n = 2048;
   gpusim::GlobalBuffer<float> a(sim, n * n, "in"), b(sim, n * n, "out");
-  const auto t =
-      satalgo::run_algorithm(sim, Algorithm::kDuplicate, a, b, n, {}).totals();
+  const auto t = satalgo::run_algorithm(sim, Algorithm::kDuplicate, a, b, n, n)
+                     .totals();
   EXPECT_EQ(t.element_reads, n * n);
   EXPECT_EQ(t.element_writes, n * n);
   EXPECT_EQ(t.global_read_sectors, n * n / 8);
@@ -311,7 +311,8 @@ TEST(CounterLawsSpecial, LookbackDepthBoundedByGridDiagonal) {
   gpusim::GlobalBuffer<float> a(sim, n * n, "in"), b(sim, n * n, "out");
   SatParams p;
   p.tile_w = w;
-  const auto run = satalgo::run_algorithm(sim, Algorithm::kSkssLb, a, b, n, p);
+  const auto run =
+      satalgo::run_algorithm(sim, Algorithm::kSkssLb, a, b, n, n, p);
   EXPECT_LE(run.max_lookback_depth(), n / w);
   EXPECT_GE(run.max_lookback_depth(), 1u);
 }

@@ -57,7 +57,7 @@ TEST(Differential, RandomConfigurationsAllAgree) {
       p.order = orders[rng.next_below(4)];
       p.seed = rng.next_u64();
       p.hybrid_r = 0.05 + 0.6 * rng.next_double();
-      (void)satalgo::run_algorithm_rect(sim, algo, a, b, rows, cols, p);
+      (void)satalgo::run_algorithm(sim, algo, a, b, rows, cols, p);
       for (std::size_t k = 0; k < rows * cols; ++k) {
         ASSERT_EQ(b[k], ref(k / cols, k % cols))
             << "trial " << trial << ", " << satalgo::name_of(algo) << ", "
@@ -84,7 +84,7 @@ TEST(Differential, CountersAreDeterministicAcrossRepeatRuns) {
       p.tile_w = 64;
       p.order = gpusim::AssignmentOrder::Random;
       p.seed = 424242;
-      const auto run = satalgo::run_algorithm(sim, algo, a, b, 512, p);
+      const auto run = satalgo::run_algorithm(sim, algo, a, b, 512, 512, p);
       c[rep] = run.totals();
       cp[rep] = run.sum_critical_path_us();
     }

@@ -28,6 +28,12 @@ const Golden kGolden[] = {
     {satalgo::Algorithm::kHybrid, 64, 2048, 0.3029185959, 5474305ull},
     {satalgo::Algorithm::kSkss, 64, 4096, 0.3255316955, 17035264ull},
     {satalgo::Algorithm::kSkssLb, 128, 4096, 0.2816306538, 17032129ull},
+    // Every other tile width of the paper's kernel, from
+    // perfbench/golden/table3.txt.
+    {satalgo::Algorithm::kSkssLb, 32, 1024, 0.0820521463, 1113025ull},
+    {satalgo::Algorithm::kSkssLb, 64, 1024, 0.0536844236, 1079521ull},
+    {satalgo::Algorithm::kSkssLb, 32, 4096, 0.389293289, 17833729ull},
+    {satalgo::Algorithm::kSkssLb, 64, 4096, 0.300015161, 17297281ull},
 };
 
 TEST(GoldenModel, CellsMatchPinnedValues) {

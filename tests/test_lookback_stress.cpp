@@ -26,7 +26,7 @@ Matrix<std::int32_t> run_and_fetch(SimContext& sim, Algorithm algo,
   const std::size_t n = input.rows();
   GlobalBuffer<std::int32_t> a(sim, n * n, "in"), b(sim, n * n, "out");
   a.upload(std::span(input.data(), input.size()));
-  (void)satalgo::run_algorithm(sim, algo, a, b, n, p);
+  (void)satalgo::run_algorithm(sim, algo, a, b, n, n, p);
   Matrix<std::int32_t> out(n, n);
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = 0; j < n; ++j) out(i, j) = b[i * n + j];
@@ -101,7 +101,8 @@ TEST(LookbackStress, LookbackDepthGrowsUnderSerializedDispatch) {
   GlobalBuffer<float> a(sim, n * n, "in"), b(sim, n * n, "out");
   SatParams p;
   p.tile_w = 32;
-  const auto run = satalgo::run_algorithm(sim, Algorithm::kSkssLb, a, b, n, p);
+  const auto run =
+      satalgo::run_algorithm(sim, Algorithm::kSkssLb, a, b, n, n, p);
   EXPECT_GE(run.max_lookback_depth(), 1u);
   EXPECT_LE(run.max_lookback_depth(), n / 32);
 }
@@ -119,7 +120,7 @@ TEST(LookbackStress, FlagPublishCountsAreExact) {
     p.order = order;
     p.seed = 9;
     const auto t =
-        satalgo::run_algorithm(sim, Algorithm::kSkssLb, a, b, n, p).totals();
+        satalgo::run_algorithm(sim, Algorithm::kSkssLb, a, b, n, n, p).totals();
     EXPECT_EQ(t.flag_writes, 6 * (n / w) * (n / w));
   }
 }
@@ -137,7 +138,8 @@ TEST(LookbackStress, WaitDiscoveryLatencyShowsUpInWaits) {
     GlobalBuffer<float> a(sim, n * n, "in"), b(sim, n * n, "out");
     SatParams p;
     p.tile_w = 32;
-    tiny_c = satalgo::run_algorithm(sim, Algorithm::kSkssLb, a, b, n, p).totals();
+    tiny_c =
+        satalgo::run_algorithm(sim, Algorithm::kSkssLb, a, b, n, n, p).totals();
   }
   {
     SimContext sim;
@@ -146,7 +148,8 @@ TEST(LookbackStress, WaitDiscoveryLatencyShowsUpInWaits) {
     GlobalBuffer<float> a(sim, n * n, "in"), b(sim, n * n, "out");
     SatParams p;
     p.tile_w = 32;
-    full_c = satalgo::run_algorithm(sim, Algorithm::kSkssLb, a, b, n, p).totals();
+    full_c =
+        satalgo::run_algorithm(sim, Algorithm::kSkssLb, a, b, n, n, p).totals();
   }
   // Device size must not change the algorithm's memory traffic.
   EXPECT_EQ(tiny_c.element_reads, full_c.element_reads);

@@ -386,7 +386,7 @@ TEST(GoldenTrace, SkssLbRunRoundTrips) {
   gpusim::GlobalBuffer<float> a(sim, n * n, "in"), b(sim, n * n, "out");
   satalgo::SatParams p;
   p.tile_w = 64;
-  satalgo::run_skss_lb(sim, a, b, n, p);
+  satalgo::run_skss_lb(sim, a, b, n, n, p);
 
   // Metrics: the paper's look-back walks actually happened and were seen.
   const obs::Snapshot snap = reg.snapshot();

@@ -9,7 +9,6 @@
 #include "core/api.hpp"
 #include "gpusim/gpusim.hpp"
 #include "repro/repro.hpp"
-#include "sat/algo_batch.hpp"
 #include "sat/registry.hpp"
 
 namespace {
@@ -40,7 +39,21 @@ satalgo::RunResult run_checked(satalgo::Algorithm algo, std::size_t n,
   GlobalBuffer<float> a(sim, n * n, "in"), b(sim, n * n, "out");
   satalgo::SatParams p = base;
   p.tile_w = w;
-  return satalgo::run_algorithm(sim, algo, a, b, n, p);
+  return satalgo::run_algorithm(sim, algo, a, b, n, n, p);
+}
+
+/// run_checked for SKSS-LB on a batch of `batch` n×n images in one launch.
+satalgo::RunResult run_checked_batch(std::size_t batch, std::size_t n,
+                                     std::size_t w, ProtocolChecker& checker,
+                                     const satalgo::SatParams& base = {}) {
+  SimContext sim;
+  sim.materialize = false;
+  sim.checker = &checker;
+  GlobalBuffer<float> a(sim, batch * n * n, "in"),
+      b(sim, batch * n * n, "out");
+  satalgo::SatParams p = base;
+  p.tile_w = w;
+  return satalgo::run_skss_lb_batch(sim, a, b, batch, n, n, p);
 }
 
 // --- Clean runs --------------------------------------------------------------
@@ -100,7 +113,7 @@ TEST(ProtocolChecker, DoesNotPerturbTheSimulation) {
     GlobalBuffer<float> a(sim, 512 * 512, "in"), b(sim, 512 * 512, "out");
     satalgo::SatParams p;
     p.tile_w = 64;
-    return satalgo::run_skss_lb(sim, a, b, 512, p);
+    return satalgo::run_skss_lb(sim, a, b, 512, 512, p);
   };
   ProtocolChecker checker;
   const auto plain = run(nullptr);
@@ -153,6 +166,11 @@ TEST(ProtocolChecker, DetectsFlagBeforeDataInversion) {
   // The diagnostic names the offending tile and both blocks involved.
   EXPECT_NE(what.find("tile 0"), std::string::npos) << what;
   EXPECT_NE(what.find("block"), std::string::npos) << what;
+  // The same fault in a batch of three: one kernel serves both.
+  ProtocolChecker batch_checker;
+  const std::string in_batch = expect_protocol_error(
+      [&] { run_checked_batch(3, 256, 64, batch_checker, p); }, "race");
+  EXPECT_NE(in_batch.find("tile 0"), std::string::npos) << in_batch;
 }
 
 TEST(ProtocolChecker, DetectsSigmaViolatingDependency) {
@@ -164,6 +182,11 @@ TEST(ProtocolChecker, DetectsSigmaViolatingDependency) {
       [&] { run_checked(satalgo::Algorithm::kSkssLb, 256, 64, checker, p); },
       "sigma violation");
   EXPECT_NE(what.find("tile 0"), std::string::npos) << what;
+  ProtocolChecker batch_checker;
+  const std::string in_batch = expect_protocol_error(
+      [&] { run_checked_batch(3, 256, 64, batch_checker, p); },
+      "sigma violation");
+  EXPECT_NE(in_batch.find("tile 0"), std::string::npos) << in_batch;
 }
 
 TEST(ProtocolChecker, DetectsStuckTile) {
@@ -175,6 +198,10 @@ TEST(ProtocolChecker, DetectsStuckTile) {
       [&] { run_checked(satalgo::Algorithm::kSkssLb, 256, 64, checker, p); },
       "stuck tile");
   EXPECT_NE(what.find("sigma 5"), std::string::npos) << what;
+  ProtocolChecker batch_checker;
+  const std::string in_batch = expect_protocol_error(
+      [&] { run_checked_batch(3, 256, 64, batch_checker, p); }, "stuck tile");
+  EXPECT_NE(in_batch.find("sigma 5"), std::string::npos) << in_batch;
 }
 
 TEST(ProtocolChecker, FaultInjectionReachesThePublicApi) {
@@ -185,6 +212,38 @@ TEST(ProtocolChecker, FaultInjectionReachesThePublicApi) {
   opts.params.inject = satalgo::FaultInjection::kFlagBeforeData;
   const auto input = sat::Matrix<float>::random(256, 256, 1, 0.0f, 1.0f);
   EXPECT_THROW(satrepro::compute_sat(input, opts), ProtocolError);
+  ProtocolChecker batch_checker;
+  opts.checker = &batch_checker;
+  EXPECT_THROW(satrepro::compute_sat_batch(
+                   std::vector<sat::Matrix<float>>(3, input), opts),
+               ProtocolError);
+}
+
+TEST(ProtocolChecker, ReusableAfterAReportedError) {
+  // A launch that throws must leave nothing keyed by the status arrays its
+  // run destroyed: one checker reports a fault, mid-launch (a race) or in
+  // its kernel-end check (a stuck tile), then verifies clean runs. The
+  // batch goes first: its arrays live elsewhere than the faulted run's, so
+  // stale registrations cannot be overwritten by chance.
+  const auto input = sat::Matrix<float>::random(256, 256, 1, 0.0f, 1.0f);
+  for (satalgo::FaultInjection fault :
+       {satalgo::FaultInjection::kFlagBeforeData,
+        satalgo::FaultInjection::kStuckTile}) {
+    ProtocolChecker checker;
+    satrepro::Options opts;
+    opts.params.tile_w = 64;
+    opts.checker = &checker;
+    opts.params.inject = fault;
+    EXPECT_THROW(satrepro::compute_sat(input, opts), ProtocolError);
+    opts.params.inject = satalgo::FaultInjection::kNone;
+    const auto batch = satrepro::compute_sat_batch(
+        std::vector<sat::Matrix<float>>(3, input), opts);
+    for (const auto& table : batch.tables)
+      EXPECT_FALSE(sat::validate_sat(input, table).has_value());
+    const auto single = satrepro::compute_sat(input, opts);
+    EXPECT_FALSE(sat::validate_sat(input, single.table).has_value());
+    EXPECT_EQ(checker.stats().kernels_checked, 2u);
+  }
 }
 
 TEST(ProtocolChecker, DetectsUnscheduledDependency) {
@@ -197,6 +256,10 @@ TEST(ProtocolChecker, DetectsUnscheduledDependency) {
   p.order = AssignmentOrder::Reversed;
   expect_protocol_error(
       [&] { run_checked(satalgo::Algorithm::kSkssLb, 256, 64, checker, p); },
+      "unscheduled dependency");
+  ProtocolChecker batch_checker;
+  expect_protocol_error(
+      [&] { run_checked_batch(3, 256, 64, batch_checker, p); },
       "unscheduled dependency");
 }
 

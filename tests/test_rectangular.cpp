@@ -115,7 +115,7 @@ TEST_P(RectAlgorithms, MatchesOracleExactly) {
   a.upload(std::span(input.data(), input.size()));
   SatParams p;
   p.tile_w = c.w;
-  (void)satalgo::run_algorithm_rect(sim, c.algo, a, b, c.rows, c.cols, p);
+  (void)satalgo::run_algorithm(sim, c.algo, a, b, c.rows, c.cols, p);
   for (std::size_t i = 0; i < c.rows; ++i)
     for (std::size_t j = 0; j < c.cols; ++j)
       ASSERT_EQ(b[i * c.cols + j], ref(i, j)) << i << "," << j;
@@ -165,16 +165,11 @@ TEST(RectAlgorithms, SkssLbRectUnderAdversarialDispatch) {
     p.tile_w = 32;
     p.order = order;
     p.seed = 5;
-    (void)satalgo::run_algorithm_rect(sim, Algorithm::kSkssLb, a, b, rows,
-                                      cols, p);
+    (void)satalgo::run_algorithm(sim, Algorithm::kSkssLb, a, b, rows, cols,
+                                 p);
     for (std::size_t k = 0; k < rows * cols; ++k)
       ASSERT_EQ(b[k], ref(k / cols, k % cols)) << gpusim::to_string(order);
   }
-}
-
-TEST(RectAlgorithms, EveryAlgorithmSupportsRectangles) {
-  for (auto algo : satalgo::all_sat_algorithms())
-    EXPECT_TRUE(satalgo::supports_rectangular(algo)) << satalgo::name_of(algo);
 }
 
 TEST(RectAlgorithms, EmptyShapeIsRefused) {
@@ -183,8 +178,7 @@ TEST(RectAlgorithms, EmptyShapeIsRefused) {
                               std::pair<std::size_t, std::size_t>{64, 0}}) {
       SimContext sim;
       GlobalBuffer<std::int32_t> a(sim, 0, "in"), b(sim, 0, "out");
-      EXPECT_THROW((void)satalgo::run_algorithm_rect(sim, algo, a, b, rows,
-                                                     cols),
+      EXPECT_THROW((void)satalgo::run_algorithm(sim, algo, a, b, rows, cols),
                    satutil::CheckError)
           << satalgo::name_of(algo) << " " << rows << "x" << cols;
     }
@@ -206,8 +200,8 @@ TEST(RectAlgorithms, HybridRegionsCorrectOnExtremeAspectRatios) {
     SatParams p;
     p.tile_w = 32;
     p.hybrid_r = 0.25;
-    (void)satalgo::run_algorithm_rect(sim, Algorithm::kHybrid, a, b, rows,
-                                      cols, p);
+    (void)satalgo::run_algorithm(sim, Algorithm::kHybrid, a, b, rows, cols,
+                                 p);
     for (std::size_t k = 0; k < rows * cols; ++k)
       ASSERT_EQ(b[k], ref(k / cols, k % cols)) << rows << "x" << cols;
   }

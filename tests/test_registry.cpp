@@ -90,7 +90,7 @@ TEST(Registry, DispatchRunsEveryAlgorithm) {
   satalgo::SatParams p;
   p.tile_w = 32;
   for (auto algo : satalgo::all_sat_algorithms()) {
-    const auto run = satalgo::run_algorithm(sim, algo, a, b, n, p);
+    const auto run = satalgo::run_algorithm(sim, algo, a, b, n, n, p);
     EXPECT_EQ(run.algorithm, satalgo::name_of(algo));
     EXPECT_GE(run.kernel_calls(), 1u);
   }

@@ -30,7 +30,7 @@ Matrix<T> run_on_sim(SimContext& sim, Algorithm algo, const Matrix<T>& input,
   GlobalBuffer<T> a(sim, n * n, "in");
   GlobalBuffer<T> b(sim, n * n, "out");
   a.upload(std::span(input.data(), input.size()));
-  auto run = satalgo::run_algorithm(sim, algo, a, b, n, params);
+  auto run = satalgo::run_algorithm(sim, algo, a, b, n, n, params);
   if (out_run != nullptr) *out_run = std::move(run);
   Matrix<T> result(n, n);
   for (std::size_t i = 0; i < n; ++i)
@@ -192,7 +192,8 @@ TEST(SatCounters, SkssLbIsOneReadOneWritePerElementPlusLowerOrder) {
   GlobalBuffer<float> b(sim, n * n, "out");
   SatParams p;
   p.tile_w = w;
-  const auto run = satalgo::run_algorithm(sim, Algorithm::kSkssLb, a, b, n, p);
+  const auto run =
+      satalgo::run_algorithm(sim, Algorithm::kSkssLb, a, b, n, n, p);
   const auto t = run.totals();
   // n² + O(n²/W): the aux term must stay well under n²·8/W.
   EXPECT_GE(t.element_reads, n * n);
@@ -214,7 +215,7 @@ TEST(SatCounters, CountOnlyModeMatchesMaterializedExactly) {
     {
       SimContext sim;
       GlobalBuffer<float> a(sim, n * n, "in"), b(sim, n * n, "out");
-      auto run = satalgo::run_algorithm(sim, algo, a, b, n, p);
+      auto run = satalgo::run_algorithm(sim, algo, a, b, n, n, p);
       cm = run.totals();
       tm = run.sum_critical_path_us();
     }
@@ -222,7 +223,7 @@ TEST(SatCounters, CountOnlyModeMatchesMaterializedExactly) {
       SimContext sim;
       sim.materialize = false;
       GlobalBuffer<float> a(sim, n * n, "in"), b(sim, n * n, "out");
-      auto run = satalgo::run_algorithm(sim, algo, a, b, n, p);
+      auto run = satalgo::run_algorithm(sim, algo, a, b, n, n, p);
       cc = run.totals();
       tc = run.sum_critical_path_us();
     }
@@ -251,7 +252,7 @@ TEST(SatFailureInjection, SkssLbDirectAssignmentDeadlocksOnReversedDispatch) {
   p.threads_per_block = 1024;
   p.skss_direct_assignment = true;
   p.order = gpusim::AssignmentOrder::Reversed;
-  EXPECT_THROW(satalgo::run_algorithm(sim, Algorithm::kSkssLb, a, b, n, p),
+  EXPECT_THROW(satalgo::run_algorithm(sim, Algorithm::kSkssLb, a, b, n, n, p),
                gpusim::DeadlockError);
 }
 
@@ -310,7 +311,7 @@ TEST(SatCounters, DuplicationReadsAndWritesExactlyOnce) {
   const std::size_t n = 512;
   GlobalBuffer<float> a(sim, n * n, "in"), b(sim, n * n, "out");
   const auto run =
-      satalgo::run_algorithm(sim, Algorithm::kDuplicate, a, b, n, {});
+      satalgo::run_algorithm(sim, Algorithm::kDuplicate, a, b, n, n, {});
   EXPECT_EQ(run.totals().element_reads, n * n);
   EXPECT_EQ(run.totals().element_writes, n * n);
 }

@@ -82,7 +82,7 @@ TEST(Trace, AvailableThroughSatParams) {
   p.tile_w = 64;
   p.record_trace = true;
   const auto run =
-      satalgo::run_algorithm(sim, satalgo::Algorithm::kSkssLb, a, b, n, p);
+      satalgo::run_algorithm(sim, satalgo::Algorithm::kSkssLb, a, b, n, n, p);
   EXPECT_EQ(run.reports[0].trace.size(), (n / 64) * (n / 64));
   // Sum of per-block wait in the trace equals the report aggregate.
   double wait = 0;
@@ -165,7 +165,7 @@ TEST(TraceAnalysis, RealKernelOccupancyRespectsResidency) {
   p.tile_w = 64;
   p.record_trace = true;
   const auto run =
-      satalgo::run_algorithm(sim, satalgo::Algorithm::kSkssLb, a, b, n, p);
+      satalgo::run_algorithm(sim, satalgo::Algorithm::kSkssLb, a, b, n, n, p);
   const auto& rep = run.reports[0];
   std::size_t peak = 0;
   for (const auto& s : occupancy_timeline(rep.trace))

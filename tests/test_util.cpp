@@ -355,6 +355,15 @@ TEST(Check, ThrowsWithMessage) {
     FAIL() << "should have thrown";
   } catch (const satutil::CheckError& e) {
     EXPECT_NE(std::string(e.what()).find("custom 42"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("1 == 2"), std::string::npos);
+    // The message alone, for a caller that reports it to a user.
+    EXPECT_EQ(e.message(), "custom 42");
+  }
+  try {
+    SAT_CHECK(1 == 2);
+    FAIL() << "should have thrown";
+  } catch (const satutil::CheckError& e) {
+    EXPECT_EQ(e.message(), e.what());  // a bare check has only its expression
   }
 }
 

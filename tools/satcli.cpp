@@ -13,11 +13,13 @@
 //   tune     pick the fastest (algorithm, W) for a shape
 //   trace    dump the per-block timeline of a SKSS-LB run as CSV
 //   verify   run every registry algorithm under the soft-sync protocol
-//            checker across a size/tile-width sweep
+//            checker across a size/tile-width sweep, on squares and n×2n
+//            rectangles, plus SKSS-LB on batches of three
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <new>
 #include <span>
 #include <string>
 #include <vector>
@@ -171,10 +173,10 @@ std::optional<std::string> compute_on_simulator(
     return report(res.stats.algorithm, in, res.tables, shape);
   }
   const auto res = satrepro::compute_sat(in[0], opts);
-  const auto err = report(
-      res.stats.algorithm, in, {&res.table, 1},
-      shape + " (padded to " + std::to_string(res.stats.padded_n) +
-          "-aligned)");
+  const auto err = report(res.stats.algorithm, in, {&res.table, 1},
+                          shape + " (padded to " +
+                              std::to_string(res.stats.padded_rows) + "x" +
+                              std::to_string(res.stats.padded_cols) + ")");
   if (opts.checker != nullptr)
     std::printf("protocol: %s\n", checker.summary().c_str());
   const auto& s = res.stats;
@@ -253,8 +255,8 @@ int mode_trace(const satutil::ArgParser& args) {
   satalgo::SatParams p;
   p.tile_w = w;
   p.record_trace = true;
-  const auto run =
-      satalgo::run_algorithm(sim, satalgo::Algorithm::kSkssLb, a, b, n, p);
+  const auto run = satalgo::run_algorithm(sim, satalgo::Algorithm::kSkssLb, a,
+                                          b, n, n, p);
   const satalgo::TileGrid grid(n, w);
 
   const std::string out = args.get("out");
@@ -281,33 +283,48 @@ int mode_verify(const satutil::ArgParser& args) {
   const std::vector<std::size_t> widths = {32, 64, 128};
   std::size_t runs = 0;
   std::size_t failures = 0;
+  // One count-only run (counters + protocol: a fast sweep) of `batch`
+  // rows×cols images under a fresh checker; a batch is SKSS-LB's.
+  auto verify = [&](satalgo::Algorithm algo, std::size_t batch,
+                    std::size_t rows, std::size_t cols, std::size_t w) {
+    gpusim::ProtocolChecker checker;
+    gpusim::SimContext sim;
+    sim.materialize = false;
+    sim.checker = &checker;
+    gpusim::GlobalBuffer<float> a(sim, batch * rows * cols, "verify.in");
+    gpusim::GlobalBuffer<float> b(sim, batch * rows * cols, "verify.out");
+    satalgo::SatParams p;
+    p.tile_w = w;
+    p.seed = seed;
+    std::string shape = std::to_string(rows) + "x" + std::to_string(cols);
+    if (batch > 1) shape = std::to_string(batch) + "x" + shape;
+    ++runs;
+    try {
+      if (batch == 1)
+        satalgo::run_algorithm(sim, algo, a, b, rows, cols, p);
+      else
+        satalgo::run_skss_lb_batch(sim, a, b, batch, rows, cols, p);
+      std::printf("ok   %-14s %-14s W=%-4zu %s\n", satalgo::name_of(algo),
+                  shape.c_str(), w, checker.summary().c_str());
+    } catch (const gpusim::ProtocolError& e) {
+      ++failures;
+      std::printf("FAIL %-14s %-14s W=%-4zu %s\n", satalgo::name_of(algo),
+                  shape.c_str(), w, e.what());
+    }
+  };
   for (satalgo::Algorithm algo : satalgo::all_sat_algorithms()) {
     for (std::size_t n : sizes) {
       for (std::size_t w : widths) {
         // Non-tiled algorithms ignore W; sweep them once per size.
         if (!satalgo::is_tiled(algo) && w != widths.front()) continue;
-        gpusim::ProtocolChecker checker;
-        gpusim::SimContext sim;
-        sim.materialize = false;  // counters + protocol only: fast sweep
-        sim.checker = &checker;
-        gpusim::GlobalBuffer<float> a(sim, n * n, "verify.in");
-        gpusim::GlobalBuffer<float> b(sim, n * n, "verify.out");
-        satalgo::SatParams p;
-        p.tile_w = w;
-        p.seed = seed;
-        ++runs;
-        try {
-          satalgo::run_algorithm(sim, algo, a, b, n, p);
-          std::printf("ok   %-14s n=%-5zu W=%-4zu %s\n", satalgo::name_of(algo),
-                      n, w, checker.summary().c_str());
-        } catch (const gpusim::ProtocolError& e) {
-          ++failures;
-          std::printf("FAIL %-14s n=%-5zu W=%-4zu %s\n", satalgo::name_of(algo),
-                      n, w, e.what());
-        }
+        verify(algo, 1, n, n, w);
+        verify(algo, 1, n, 2 * n, w);
       }
     }
   }
+  for (std::size_t n : sizes)
+    for (std::size_t w : widths)
+      verify(satalgo::Algorithm::kSkssLb, 3, n, n, w);
   std::printf("%zu/%zu protocol-checked runs passed\n", runs - failures, runs);
   return failures == 0 ? 0 : 1;
 }
@@ -347,8 +364,9 @@ int main(int argc, char** argv) {
   if (!args.parse(argc, argv)) return 1;
 
   const std::string mode = args.get("mode");
-  // Flags the library refuses (a tile width the simulator cannot run, say)
-  // fail a SAT_CHECK inside the mode: still a usage error, not an abort.
+  // Flags the library refuses (a tile width the simulator cannot run, a
+  // shape no matrix can hold) fail a SAT_CHECK inside the mode: still a
+  // usage error, reported by the check's message alone, not an abort.
   try {
     if (mode == "compute") return mode_compute(args);
     if (mode == "cell") return mode_cell(args);
@@ -356,7 +374,10 @@ int main(int argc, char** argv) {
     if (mode == "trace") return mode_trace(args);
     if (mode == "verify") return mode_verify(args);
   } catch (const satutil::CheckError& e) {
-    std::fprintf(stderr, "satcli: %s\n", e.what());
+    std::fprintf(stderr, "satcli: %s\n", e.message().c_str());
+    return 1;
+  } catch (const std::bad_alloc&) {
+    std::fprintf(stderr, "satcli: out of memory\n");
     return 1;
   }
   std::fprintf(stderr, "unknown mode '%s'\n%s", mode.c_str(),
